@@ -34,8 +34,8 @@ def test_switch_cost_sensitivity(benchmark, save_artifact):
     def sweep():
         out = {}
         for factor in (0.0, 1.0, 2.0, 4.0, 8.0):
-            model = PipelineModel.for_degree(1024)
-            model.policy = SwitchCostPolicy(12289, 16, factor)
+            model = PipelineModel.for_degree(
+                1024, policy=SwitchCostPolicy(12289, 16, factor))
             out[factor] = (model.stage_cycles,
                            model.throughput_per_s(True))
         return out

@@ -18,8 +18,8 @@ def test_gate_technology_sweep(benchmark, save_artifact):
         out = {}
         for n in PAPER_DEGREES:
             felix = PipelineModel.for_degree(n)
-            magic = PipelineModel.for_degree(n)
-            magic.policy = MagicPolicy(magic.config.q, magic.config.bitwidth)
+            magic = PipelineModel.for_degree(n, policy=MagicPolicy(
+                felix.config.q, felix.config.bitwidth))
             out[n] = (felix.stage_cycles, magic.stage_cycles,
                       felix.throughput_per_s(True),
                       magic.throughput_per_s(True))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Throughput benchmark: single vs batched vs worker-pool multiplication.
+"""Throughput benchmark: single vs batched multiplication.
 
-Times four ways of computing B negacyclic products at each degree:
+Times three ways of computing B negacyclic products at each degree:
 
 * ``legacy_loop``   - the seed's per-pair path: a Python loop over a
   kernel that rebuilds ``np.arange`` + masks for every stage of every
@@ -9,9 +9,7 @@ Times four ways of computing B negacyclic products at each degree:
 * ``single_loop``   - a per-pair loop over today's ``NttEngine.multiply``
   (cached stage plan, still one pair per call) - the before/after of the
   1-D index-caching change;
-* ``multiply_many`` - one 2-D kernel invocation for the whole batch;
-* ``worker_pool``   - ``CryptoPIM.multiply_batch(..., workers=W)`` with
-  the pool capped at the chip's parallel superbank count.
+* ``multiply_many`` - one 2-D kernel invocation for the whole batch.
 
 Writes machine-readable ``BENCH_throughput.json`` at the repo root so
 future PRs have a perf trajectory.  ``--quick`` shrinks sizes for CI.
@@ -31,7 +29,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.arch.chip import CryptoPimChip                      # noqa: E402
-from repro.core.accelerator import CryptoPIM                   # noqa: E402
 from repro.ntt.bitrev import bitrev_permute_array              # noqa: E402
 from repro.ntt.params import params_for_degree                 # noqa: E402
 from repro.ntt.transform import NttEngine                      # noqa: E402
@@ -96,12 +93,10 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
-def bench_degree(n: int, batch: int, repeats: int, workers: int,
-                 skip_workers: bool) -> dict:
+def bench_degree(n: int, batch: int, repeats: int) -> dict:
     rng = np.random.default_rng(n)
     engine = NttEngine.for_degree(n)
     legacy = LegacyEngine(n)
-    acc = CryptoPIM.for_degree(n)
     a_block = rng.integers(0, engine.q, (batch, n)).astype(np.uint64)
     b_block = rng.integers(0, engine.q, (batch, n)).astype(np.uint64)
     pairs = [(a_block[i], b_block[i]) for i in range(batch)]
@@ -119,10 +114,6 @@ def bench_degree(n: int, batch: int, repeats: int, workers: int,
             lambda: engine.multiply_many(a_block, b_block), repeats),
     }
     superbanks = CryptoPimChip().configure(n).parallel_multiplications
-    effective_workers = min(workers, superbanks, batch)
-    if not skip_workers:
-        timings["worker_pool"] = _time_best(
-            lambda: acc.multiply_batch(pairs, workers=effective_workers), 1)
 
     ops_per_s = {name: batch / seconds for name, seconds in timings.items()}
     baseline = ops_per_s["legacy_loop"]
@@ -131,7 +122,6 @@ def bench_degree(n: int, batch: int, repeats: int, workers: int,
         "q": engine.q,
         "batch": batch,
         "superbanks": superbanks,
-        "workers_used": 0 if skip_workers else effective_workers,
         "seconds": timings,
         "ops_per_s": ops_per_s,
         "speedup_vs_legacy_loop": {
@@ -148,8 +138,6 @@ def main(argv=None) -> int:
                         help="batch size (default 64, quick 16)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="best-of repeats (default 5, quick 2)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker-pool request (clamped to superbanks)")
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[256, 1024, 4096])
     parser.add_argument("--out", type=pathlib.Path,
@@ -162,16 +150,13 @@ def main(argv=None) -> int:
 
     results = []
     for n in sizes:
-        row = bench_degree(n, batch, repeats, args.workers,
-                           skip_workers=False)
+        row = bench_degree(n, batch, repeats)
         results.append(row)
         speed = row["speedup_vs_legacy_loop"]
         print(f"n={n:5d} batch={batch:3d}  "
               f"legacy {row['ops_per_s']['legacy_loop']:9.0f} ops/s  "
               f"single x{speed['single_loop']:.2f}  "
-              f"batched x{speed['multiply_many']:.2f}  "
-              + (f"pool x{speed['worker_pool']:.2f}"
-                 if "worker_pool" in speed else "pool -"))
+              f"batched x{speed['multiply_many']:.2f}")
 
     payload = {
         "benchmark": "benchmarks/bench_throughput.py",

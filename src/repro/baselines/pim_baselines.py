@@ -27,6 +27,7 @@ from typing import Callable, Dict, List
 from ..core.config import PipelineVariant
 from ..core.pipeline import PipelineModel
 from ..core.stages import CostPolicy
+from ..ntt.params import params_for_degree
 from ..pim.logic import (
     add_cycles,
     mul_cycles_baseline35,
@@ -154,9 +155,10 @@ def baseline_models(n: int) -> Dict[str, PipelineModel]:
     The paper compares baselines against the *non-pipelined* design, which
     uses the area-efficient block arrangement.
     """
+    params = params_for_degree(n)
     models: Dict[str, PipelineModel] = {}
     for label, policy_cls in BASELINE_POLICIES.items():
-        model = PipelineModel.for_degree(n, variant=PipelineVariant.AREA_EFFICIENT)
-        model.policy = policy_cls(model.config.q, model.config.bitwidth)
-        models[label] = model
+        models[label] = PipelineModel.for_degree(
+            n, variant=PipelineVariant.AREA_EFFICIENT,
+            policy=policy_cls(params.q, params.bitwidth))
     return models

@@ -27,36 +27,22 @@ moved onto the accelerator with ``poly.with_backend(acc)``.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from ..arch.bank import BankPlan, plan_bank
-from ..arch.chip import CryptoPimChip
 from ..arch.dataflow import PimMachine
-from ..ntt.params import NttParams, params_for_degree
+from ..ntt.params import params_for_degree
 from ..ntt.transform import NttEngine
 from ..pim.device import PAPER_DEVICE, DeviceModel
 from .config import CryptoPimConfig, PipelineVariant
+from .controller import pipelined_completion_cycles
 from .pipeline import PipelineModel
 from .timing import MultiplicationReport
 
 __all__ = ["CryptoPIM", "BatchResult"]
-
-
-@lru_cache(maxsize=8)
-def _shard_engine(params: NttParams) -> NttEngine:
-    """Per-process engine cache for worker-pool shards."""
-    return NttEngine(params)
-
-
-def _multiply_shard(job):
-    """Worker-pool entry point: one superbank group's share of a batch."""
-    params, a_block, b_block = job
-    return _shard_engine(params).multiply_many(a_block, b_block)
 
 
 @dataclass(frozen=True)
@@ -148,30 +134,23 @@ class CryptoPIM:
         self.last_report = self.model.report(pipelined=self.pipelined)
         return result
 
-    def multiply_batch(self, pairs, workers: Optional[int] = None) -> "BatchResult":
+    def multiply_batch(self, pairs) -> "BatchResult":
         """Stream several multiplications through the pipeline.
 
         In ``fast`` fidelity the whole batch is computed by one 2-D kernel
         invocation (``NttEngine.multiply_many``) instead of a Python loop;
         ``bit`` fidelity still meters each product on the gate-level
-        machine.  The streaming timeline is unchanged: result ``k``
-        completes at ``(depth + k - 1) * stage_latency``, so a long batch
-        approaches the Table II steady-state throughput.
+        machine.  The timeline is one pipeline's, from the one completion
+        law (:func:`~repro.core.controller.pipelined_completion_cycles`
+        with one superbank): result ``k`` completes at
+        ``(depth + k - 1) * stage_latency``, so a long batch approaches
+        the Table II steady-state throughput.  The chip-level figure with
+        every superbank streaming is the serving layer's ``ChipTimeline``.
 
         An empty batch is a no-op: ``[]`` results on a zero-cycle
         timeline, so callers that drain queues (the serving layer's batch
         windows) never have to special-case "nothing arrived".
-
-        Args:
-            workers: if > 1, shard the batch across a ``multiprocessing``
-                pool.  The pool is capped at the chip's
-                ``parallel_multiplications`` for this degree - each worker
-                plays one superbank group - and results are merged back in
-                submission order.  Only meaningful for ``fast`` fidelity
-                and large batches; ``None`` keeps everything in-process.
         """
-        from .controller import pipelined_completion_cycles
-
         pairs = list(pairs)
         if not pairs:
             return BatchResult(results=[], completion_cycles=[],
@@ -186,12 +165,7 @@ class CryptoPIM:
                 [np.asarray(b, dtype=np.uint64) % q for _, b in pairs])
             if a_block.shape != (len(pairs), n) or b_block.shape != (len(pairs), n):
                 raise ValueError(f"operands must have {n} coefficients")
-            worker_count = self._superbank_workers(workers, len(pairs))
-            if worker_count > 1:
-                products = self._multiply_sharded(a_block, b_block, worker_count)
-            else:
-                products = self._engine.multiply_many(a_block, b_block)
-            results = list(products)
+            results = list(self._engine.multiply_many(a_block, b_block))
             self.multiplications += len(pairs)
             self.last_report = self.model.report(pipelined=self.pipelined)
         completions = pipelined_completion_cycles(self.model, len(pairs))
@@ -202,30 +176,6 @@ class CryptoPIM:
             total_us=total_us,
             effective_throughput_per_s=len(pairs) / (total_us * 1e-6),
         )
-
-    def _superbank_workers(self, workers: Optional[int], batch: int) -> int:
-        """Clamp a worker request to the chip's parallel superbank count."""
-        if workers is None or workers <= 1 or batch <= 1:
-            return 1
-        config = CryptoPimChip().configure(self.config.n)
-        return max(1, min(int(workers), config.parallel_multiplications, batch))
-
-    def _multiply_sharded(self, a_block: np.ndarray, b_block: np.ndarray,
-                          worker_count: int) -> np.ndarray:
-        """Fan a batch out over a process pool, one shard per superbank group."""
-        shards = [
-            (self.config.params, a_shard, b_shard)
-            for a_shard, b_shard in zip(
-                np.array_split(a_block, worker_count),
-                np.array_split(b_block, worker_count),
-            )
-            if len(a_shard)
-        ]
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        ctx = multiprocessing.get_context(method)
-        with ctx.Pool(processes=len(shards)) as pool:
-            parts = pool.map(_multiply_shard, shards)
-        return np.concatenate(parts, axis=0)
 
     # -- reporting -----------------------------------------------------------------
 

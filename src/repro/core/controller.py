@@ -106,12 +106,23 @@ def compile_multiplication(model: PipelineModel) -> ControllerProgram:
     return program
 
 
-def pipelined_completion_cycles(model: PipelineModel, count: int) -> List[int]:
-    """Completion cycle of each of ``count`` back-to-back multiplications
-    streamed through the pipeline: result k (1-based) finishes at
-    ``(depth + k - 1) * stage_latency``."""
+def pipelined_completion_cycles(model: PipelineModel, count: int,
+                                superbanks: int = 1,
+                                segments: int = 1) -> List[int]:
+    """The one completion law, used by every caller: the cycle, from the
+    first issue, at which each of ``count`` multiplications completes.
+
+    Item ``i`` takes pipeline slot ``i // superbanks`` of superbank
+    ``i % superbanks``; its ``segments`` 32k segments (Section III-D.2)
+    stream back to back, so it completes at
+    ``(depth + (i // superbanks + 1) * segments - 1) * stage``.  One
+    pipeline at a native degree gives ``(depth + k - 1) * stage`` for
+    result k (1-based), the Table II streaming law."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if superbanks < 1 or segments < 1:
+        raise ValueError("superbanks and segments must be >= 1")
     stage = model.stage_cycles
     depth = model.depth
-    return [(depth + k) * stage for k in range(count)]
+    return [(depth + (i // superbanks + 1) * segments - 1) * stage
+            for i in range(count)]

@@ -23,6 +23,7 @@ from ..baselines.pim_baselines import MagicPolicy
 from ..core.config import PipelineVariant
 from ..core.pipeline import PipelineModel
 from ..core.stages import CostPolicy
+from ..ntt.params import params_for_degree
 
 __all__ = ["DesignPoint", "enumerate_designs", "pareto_front"]
 
@@ -60,12 +61,13 @@ class DesignPoint:
 def enumerate_designs(n: int) -> List[DesignPoint]:
     """Price every configuration in the explored grid for degree ``n``."""
     area_model = AreaModel()
+    params = params_for_degree(n)
+    policies = {"felix": None, "magic": MagicPolicy(params.q, params.bitwidth)}
     points: List[DesignPoint] = []
     for variant, gates, pipelined in product(
             PipelineVariant, ("felix", "magic"), (True, False)):
-        model = PipelineModel.for_degree(n, variant=variant)
-        if gates == "magic":
-            model.policy = MagicPolicy(model.config.q, model.config.bitwidth)
+        model = PipelineModel.for_degree(n, variant=variant,
+                                         policy=policies[gates])
         report = model.report(pipelined=pipelined)
         points.append(DesignPoint(
             variant=variant.value,

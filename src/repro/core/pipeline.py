@@ -20,7 +20,8 @@ Table II exactly (38 stages x 1643 x 1.1 ns = 68.67 us for n=256, ...).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ntt.params import params_for_degree
 from ..pim.device import DeviceModel
@@ -33,7 +34,13 @@ __all__ = ["PipelineModel"]
 
 
 class PipelineModel:
-    """Prices one CryptoPIM configuration.
+    """The immutable cost table of one CryptoPIM configuration.
+
+    Every block latency is derived once, at construction; the stage,
+    latency and throughput figures read the stored values and each
+    ``report(pipelined)`` is built once and then reused.  To price the
+    same cascade under another policy, build another model - assigning
+    to an attribute raises ``AttributeError``.
 
     Args:
         config: ring + variant + device.
@@ -41,17 +48,34 @@ class PipelineModel:
             their BP-1/2/3 policies to reproduce Figure 6.
     """
 
+    config: CryptoPimConfig
+    policy: CostPolicy
+    blocks: Tuple[StageBlock, ...]
+    _latencies: Tuple[int, ...]
+    _stage: int
+    _reports: Dict[bool, MultiplicationReport]
+
     def __init__(self, config: CryptoPimConfig, policy: Optional[CostPolicy] = None):
-        self.config = config
-        self.policy = policy if policy is not None else CostPolicy(
-            config.q, config.bitwidth
-        )
-        self.blocks: List[StageBlock] = build_blocks(config.n, config.variant)
+        if policy is None:
+            policy = CostPolicy(config.q, config.bitwidth)
+        blocks = tuple(build_blocks(config.n, config.variant))
+        latencies = tuple(b.latency(policy) for b in blocks)
+        self.__dict__.update(config=config, policy=policy, blocks=blocks,
+                             _latencies=latencies, _stage=max(latencies),
+                             _reports={})
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(
+            f"PipelineModel is immutable; build a new model instead of "
+            f"setting {name!r}")
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_degree(cls, n: int,
                    variant: PipelineVariant = PipelineVariant.CRYPTOPIM,
                    policy: Optional[CostPolicy] = None) -> "PipelineModel":
+        """The paper's configuration for degree ``n``; memoised, so every
+        caller asking for the same (n, variant, policy) shares one table."""
         return cls(CryptoPimConfig(params=params_for_degree(n), variant=variant),
                    policy=policy)
 
@@ -67,15 +91,15 @@ class PipelineModel:
         return len(self.blocks)
 
     def block_latencies(self) -> List[int]:
-        return [b.latency(self.policy) for b in self.blocks]
+        return list(self._latencies)
 
     @property
     def stage_cycles(self) -> int:
         """Residency of the slowest block - the pipelined stage latency."""
-        return max(self.block_latencies())
+        return self._stage
 
     def slowest_block(self) -> StageBlock:
-        return max(self.blocks, key=lambda b: b.latency(self.policy))
+        return self.blocks[self._latencies.index(self._stage)]
 
     # -- latency / throughput ----------------------------------------------------
 
@@ -84,20 +108,19 @@ class PipelineModel:
         expanded) - what a sequential functional execution of all blocks
         meters.  The bit-level :class:`~repro.arch.dataflow.PimMachine`
         must agree with this exactly."""
-        return sum(
-            b.latency(self.policy) * b.multiplicity for b in self.blocks
-        )
+        return sum(latency * b.multiplicity
+                   for latency, b in zip(self._latencies, self.blocks))
 
     def latency_cycles(self, pipelined: bool = True) -> int:
         if pipelined:
-            return self.depth * self.stage_cycles
-        return sum(self.block_latencies())
+            return self.depth * self._stage
+        return sum(self._latencies)
 
     def latency_us(self, pipelined: bool = True) -> float:
         return self.device.cycles_to_us(self.latency_cycles(pipelined))
 
     def throughput_per_s(self, pipelined: bool = True) -> float:
-        cycles = self.stage_cycles if pipelined else self.latency_cycles(False)
+        cycles = self._stage if pipelined else self.latency_cycles(False)
         return 1.0 / self.device.cycles_to_seconds(cycles)
 
     # -- energy ---------------------------------------------------------------------
@@ -124,21 +147,24 @@ class PipelineModel:
     # -- reports ----------------------------------------------------------------------
 
     def report(self, pipelined: bool = True) -> MultiplicationReport:
-        return MultiplicationReport(
-            n=self.config.n,
-            q=self.config.q,
-            bitwidth=self.config.bitwidth,
-            variant=self.config.variant.value,
-            pipelined=pipelined,
-            depth_blocks=self.depth,
-            stage_cycles=self.stage_cycles,
-            latency_cycles=self.latency_cycles(pipelined),
-            latency_us=self.latency_us(pipelined),
-            throughput_per_s=self.throughput_per_s(pipelined),
-            energy=self.energy(),
-        )
+        report = self._reports.get(pipelined)
+        if report is None:
+            report = self._reports[pipelined] = MultiplicationReport(
+                n=self.config.n,
+                q=self.config.q,
+                bitwidth=self.config.bitwidth,
+                variant=self.config.variant.value,
+                pipelined=pipelined,
+                depth_blocks=self.depth,
+                stage_cycles=self._stage,
+                latency_cycles=self.latency_cycles(pipelined),
+                latency_us=self.latency_us(pipelined),
+                throughput_per_s=self.throughput_per_s(pipelined),
+                energy=self.energy(),
+            )
+        return report
 
     def __repr__(self) -> str:
         return (f"PipelineModel(n={self.config.n}, {self.config.variant.value}, "
                 f"policy={self.policy.name}, depth={self.depth}, "
-                f"stage={self.stage_cycles}cy)")
+                f"stage={self._stage}cy)")

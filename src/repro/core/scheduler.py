@@ -11,7 +11,9 @@ Model: jobs of the same degree share one chip configuration; the chip is
 reconfigured between degree groups (a fixed reconfiguration penalty, since
 softbank/superbank wiring is switch state).  Within a group, each
 superbank streams its share through its pipeline; a group finishes when
-its most-loaded superbank drains.
+its most-loaded superbank drains.  Degrees above 32k stream each product
+as its 32k segments back to back.  Group durations come from the one
+completion law, :func:`repro.core.controller.pipelined_completion_cycles`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,27 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Dict, List, Sequence
 
-from ..arch.chip import CryptoPimChip
+from ..arch.chip import ChipConfiguration, CryptoPimChip, MAX_NATIVE_DEGREE
+from ..pim.device import PAPER_DEVICE
+from .controller import pipelined_completion_cycles
 from .pipeline import PipelineModel
 
 __all__ = ["MultiplicationJob", "GroupSchedule", "ScheduleReport",
-           "ChipScheduler"]
+           "ChipScheduler", "chip_completion_cycles"]
 
 #: cycles to rewire softbank/superbank switch state between degree groups
 RECONFIGURATION_CYCLES = 1000
+
+
+def chip_completion_cycles(config: ChipConfiguration, count: int) -> List[int]:
+    """Cycles from the first issue at which each of ``count``
+    multiplications completes on a chip arranged as ``config``: the one
+    completion law with the arrangement's parallel superbanks, each
+    product streamed as its 32k segments on the native-degree pipeline."""
+    model = PipelineModel.for_degree(min(config.n, MAX_NATIVE_DEGREE))
+    return pipelined_completion_cycles(
+        model, count, config.parallel_multiplications,
+        config.segments_per_polynomial)
 
 
 @dataclass(frozen=True)
@@ -87,15 +102,22 @@ class ChipScheduler:
     def __init__(self, chip: CryptoPimChip | None = None):
         self.chip = chip if chip is not None else CryptoPimChip()
 
+    def _group(self, n: int, count: int, start_cycle: int) -> GroupSchedule:
+        config = self.chip.configure(n)
+        superbanks = config.parallel_multiplications
+        return GroupSchedule(
+            n=n,
+            count=count,
+            superbanks=superbanks,
+            per_superbank=ceil(count / superbanks),
+            start_cycle=start_cycle,
+            duration_cycles=chip_completion_cycles(config, count)[-1],
+        )
+
     def group_duration_cycles(self, n: int, count: int) -> int:
         """Pipeline fill + steady-state drain for ``count`` multiplications
         spread over the configured superbanks."""
-        config = self.chip.configure(n)
-        model = PipelineModel.for_degree(min(n, 32768))
-        per_superbank = ceil(count / config.parallel_multiplications)
-        # each input may itself need several 32k segments
-        items = per_superbank * config.segments_per_polynomial
-        return (model.depth + items - 1) * model.stage_cycles
+        return self._group(n, count, 0).duration_cycles
 
     def schedule(self, jobs: Sequence[MultiplicationJob]) -> ScheduleReport:
         """Greedy degree-grouped schedule (jobs of equal n are merged)."""
@@ -106,25 +128,14 @@ class ChipScheduler:
             merged[job.n] = merged.get(job.n, 0) + job.count
         groups: List[GroupSchedule] = []
         clock = 0
-        device = PipelineModel.for_degree(256).device
         for n in sorted(merged):
-            count = merged[n]
-            config = self.chip.configure(n)
-            duration = self.group_duration_cycles(n, count)
             if groups:  # reconfiguration between degree groups
                 clock += RECONFIGURATION_CYCLES
-            groups.append(GroupSchedule(
-                n=n,
-                count=count,
-                superbanks=config.parallel_multiplications,
-                per_superbank=ceil(count / config.parallel_multiplications),
-                start_cycle=clock,
-                duration_cycles=duration,
-            ))
-            clock += duration
+            groups.append(self._group(n, merged[n], clock))
+            clock = groups[-1].end_cycle
         return ScheduleReport(
             groups=groups,
             makespan_cycles=clock,
-            makespan_us=device.cycles_to_us(clock),
+            makespan_us=PAPER_DEVICE.cycles_to_us(clock),
             total_multiplications=sum(merged.values()),
         )

@@ -5,17 +5,18 @@ public-key traffic next to n=2048 homomorphic eval), but there is exactly
 one chip.  :class:`ChipGate` serialises batch execution behind an asyncio
 lock - the software analogue of the single physical bank array - and
 :class:`ChipTimeline` keeps the *analytic* account of what that chip has
-done: every dispatched batch advances a virtual cycle clock using the same
-``(depth + k - 1) * stage_cycles`` completion law as
-:func:`repro.core.controller.pipelined_completion_cycles`, charging the
-:data:`~repro.core.scheduler.RECONFIGURATION_CYCLES` switch-rewiring
-penalty whenever consecutive batches change degree (Section III-D.2's
-softbank/superbank re-arrangement).
+done: every dispatched batch advances a virtual cycle clock by the one
+completion law, :func:`repro.core.controller.pipelined_completion_cycles`,
+charging the :data:`~repro.core.scheduler.RECONFIGURATION_CYCLES`
+switch-rewiring penalty whenever consecutive batches change degree
+(Section III-D.2's softbank/superbank re-arrangement).
 
-Per-request simulated completion cycles fall out of the same law: request
+Per-request simulated completion cycles fall out of that law: request
 ``i`` of a ``count``-item batch lands on superbank ``i % S`` in pipeline
-slot ``i // S``, so it completes at
-``start + (depth + i // S) * stage_cycles``.
+slot ``i // S`` and streams its ``segs`` 32k segments back to back, so it
+completes at ``start + (depth + (i // S + 1) * segs - 1) * stage_cycles``
+(``segs`` is 1 for the native degrees the service accepts).
+:class:`~repro.core.scheduler.ChipScheduler` reads the same law.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..arch.chip import CryptoPimChip, MAX_NATIVE_DEGREE
-from ..core.pipeline import PipelineModel
-from ..core.scheduler import RECONFIGURATION_CYCLES
+from ..arch.chip import CryptoPimChip
+from ..core.scheduler import RECONFIGURATION_CYCLES, chip_completion_cycles
+from ..pim.device import PAPER_DEVICE
 
 __all__ = ["BatchTiming", "ChipTimeline", "ChipGate"]
 
@@ -89,13 +90,6 @@ class ChipTimeline:
     idle_cycles: int = 0
     batches: int = 0
     items: int = 0
-    _models: Dict[int, PipelineModel] = field(default_factory=dict)
-
-    def _model(self, n: int) -> PipelineModel:
-        effective = min(n, MAX_NATIVE_DEGREE)
-        if effective not in self._models:
-            self._models[effective] = PipelineModel.for_degree(effective)
-        return self._models[effective]
 
     def dispatch(self, n: int, count: int) -> BatchTiming:
         """Advance the chip clock by one batch of ``count`` degree-``n``
@@ -103,20 +97,13 @@ class ChipTimeline:
         if count < 1:
             raise ValueError("a dispatched batch must contain >= 1 item")
         config = self.chip.configure(n)
-        model = self._model(n)
-        device = model.device
         reconfig = 0
         if self.configured_n is not None and self.configured_n != n:
             reconfig = RECONFIGURATION_CYCLES
             self.reconfigurations += 1
             self.reconfig_cycles += reconfig
         start = self.clock_cycles + reconfig
-        superbanks = config.parallel_multiplications
-        stage = model.stage_cycles * config.segments_per_polynomial
-        depth = model.depth
-        completions = [
-            start + (depth + i // superbanks) * stage for i in range(count)
-        ]
+        completions = [start + c for c in chip_completion_cycles(config, count)]
         self.configured_n = n
         self.clock_cycles = completions[-1]
         self.busy_cycles += completions[-1] - start
@@ -125,21 +112,19 @@ class ChipTimeline:
         return BatchTiming(
             n=n,
             count=count,
-            superbanks=superbanks,
+            superbanks=config.parallel_multiplications,
             start_cycle=start,
             reconfiguration_cycles=reconfig,
             completion_cycles=completions,
-            completion_us=[device.cycles_to_us(c) for c in completions],
+            completion_us=[PAPER_DEVICE.cycles_to_us(c) for c in completions],
             seq=self.batches,
         )
 
     def span_estimate(self, n: int) -> int:
-        """Cycles of one full degree-``n`` pipeline pass (depth x stage) -
-        the natural unit of backlog for fleet routing heuristics."""
-        config = self.chip.configure(n)
-        model = self._model(n)
-        stage = model.stage_cycles * config.segments_per_polynomial
-        return model.depth * stage
+        """Cycles of one full degree-``n`` pipeline pass (one item's
+        completion) - the natural unit of backlog for fleet routing
+        heuristics."""
+        return chip_completion_cycles(self.chip.configure(n), 1)[0]
 
     def advance_idle(self, cycles: int) -> None:
         """Advance the clock through ``cycles`` of explicit idleness

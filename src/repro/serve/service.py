@@ -26,9 +26,12 @@ Chip accounting: each request is charged its *multiplication equivalents*
 (a Kyber encapsulation is ``k^2 + k`` degree-256 products, a fresh BGV/BFV
 tensor is 4 degree-``n`` products, adds are conservatively charged one
 slot) and the shared :class:`ChipTimeline` turns those into per-request
-completion cycles via the pipeline's ``(depth + slot) * stage_cycles``
-law, including reconfiguration penalties when consecutive batches switch
-degree.
+completion cycles via the one completion law,
+:func:`repro.core.controller.pipelined_completion_cycles` - for the
+native degrees served here, ``(depth + slot) * stage_cycles`` with the
+chip's parallel superbanks - including reconfiguration penalties when
+consecutive batches switch degree.  Degrees above 32k, which the chip
+would stream as back-to-back 32k segments, are refused at admission.
 """
 
 from __future__ import annotations

@@ -165,31 +165,18 @@ class TestAcceleratorBatch:
         for (a, b), result in zip(pairs, batch.results):
             assert np.array_equal(result, acc.multiply(a, b))
 
-    def test_worker_pool_matches_in_process(self, rng):
-        acc = CryptoPIM.for_degree(256)
-        pairs = [(rng.integers(0, acc.q, 256), rng.integers(0, acc.q, 256))
-                 for _ in range(7)]
-        plain = acc.multiply_batch(pairs)
-        pooled = acc.multiply_batch(pairs, workers=3)
-        assert plain.completion_cycles == pooled.completion_cycles
-        for lhs, rhs in zip(plain.results, pooled.results):
-            assert np.array_equal(lhs, rhs)
-
     @pytest.mark.parametrize("n", TIER_DEGREES)
-    def test_worker_pool_bit_identical_all_moduli(self, rng, n):
-        """Pool sharding is deterministic: bit-identical to the serial
-        path for every paper modulus tier and ragged batch sizes that do
-        not divide evenly across workers."""
+    def test_batch_bit_identical_all_moduli(self, rng, n):
+        """The one batch path is bit-identical to per-pair ``multiply``
+        for every paper modulus tier and ragged batch sizes."""
         acc = CryptoPIM.for_degree(n)
-        for batch, workers in ((1, 2), (3, 2), (5, 3), (9, 4)):
+        for batch in (1, 3, 5, 9):
             pairs = [(rng.integers(0, acc.q, n), rng.integers(0, acc.q, n))
                      for _ in range(batch)]
-            serial = acc.multiply_batch(pairs)
-            pooled = acc.multiply_batch(pairs, workers=workers)
-            assert serial.completion_cycles == pooled.completion_cycles
-            assert len(pooled.results) == batch
-            for lhs, rhs in zip(serial.results, pooled.results):
-                assert np.array_equal(lhs, rhs)
+            batched = acc.multiply_batch(pairs)
+            assert len(batched.results) == batch
+            for (a, b), result in zip(pairs, batched.results):
+                assert np.array_equal(result, acc.multiply(a, b))
 
     def test_empty_batch_is_noop(self):
         """Regression: an empty batch returns [] on a zero-cycle timeline
@@ -206,15 +193,6 @@ class TestAcceleratorBatch:
         eng = NttEngine.for_degree(256)
         out = gs_kernel_batch(empty, eng._fwd_tw.astype(np.uint64), eng.q)
         assert out.shape == (0, 256)
-
-    def test_workers_clamped_to_superbanks(self):
-        acc = CryptoPIM.for_degree(1024)
-        superbanks = CryptoPimChip().configure(1024).parallel_multiplications
-        assert acc._superbank_workers(10_000, batch=10_000) == superbanks
-        assert acc._superbank_workers(2, batch=10_000) == 2
-        assert acc._superbank_workers(8, batch=3) == 3
-        assert acc._superbank_workers(None, batch=64) == 1
-        assert acc._superbank_workers(4, batch=1) == 1
 
     def test_batch_counts_multiplications(self, rng):
         acc = CryptoPIM.for_degree(256)

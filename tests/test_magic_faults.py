@@ -78,8 +78,8 @@ class TestMagicPolicy:
         """MAGIC gates vs FELIX: the ~2x stage-latency gap that also
         explains BP-1's multiplier (13 N^2 vs 6.5 N^2)."""
         felix = PipelineModel.for_degree(256).stage_cycles
-        magic_model = PipelineModel.for_degree(256)
-        magic_model.policy = MagicPolicy(7681, 16)
+        magic_model = PipelineModel.for_degree(
+            256, policy=MagicPolicy(7681, 16))
         ratio = magic_model.stage_cycles / felix
         assert 1.7 < ratio < 2.4
 
