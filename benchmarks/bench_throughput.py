@@ -11,7 +11,9 @@ Times three ways of computing B negacyclic products at each degree:
   1-D index-caching change;
 * ``multiply_many`` - one 2-D kernel invocation for the whole batch.
 
-Writes machine-readable ``BENCH_throughput.json`` at the repo root so
+It also times the standalone batched transforms (``forward_many`` /
+``inverse_many``) on the same block.  Every figure is the median of the
+repeats.  Writes machine-readable ``BENCH_throughput.json`` at the repo root so
 future PRs have a perf trajectory.  ``--quick`` shrinks sizes for CI.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -83,14 +86,14 @@ class LegacyEngine:
 # Timing harness
 # ---------------------------------------------------------------------------
 
-def _time_best(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` (seconds)."""
-    best = float("inf")
+def _time_median(fn, repeats: int) -> float:
+    """Median wall time of ``fn()`` over ``repeats`` runs (seconds)."""
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def bench_degree(n: int, batch: int, repeats: int) -> dict:
@@ -106,12 +109,18 @@ def bench_degree(n: int, batch: int, repeats: int) -> dict:
     assert np.array_equal(reference[0], legacy.multiply(a_block[0], b_block[0]))
 
     timings = {
-        "legacy_loop": _time_best(
+        "legacy_loop": _time_median(
             lambda: [legacy.multiply(a, b) for a, b in pairs], repeats),
-        "single_loop": _time_best(
+        "single_loop": _time_median(
             lambda: [engine.multiply(a, b) for a, b in pairs], repeats),
-        "multiply_many": _time_best(
+        "multiply_many": _time_median(
             lambda: engine.multiply_many(a_block, b_block), repeats),
+    }
+    transforms = {
+        "forward_many": _time_median(
+            lambda: engine.forward_many(a_block), repeats),
+        "inverse_many": _time_median(
+            lambda: engine.inverse_many(a_block), repeats),
     }
     superbanks = CryptoPimChip().configure(n).parallel_multiplications
 
@@ -123,6 +132,7 @@ def bench_degree(n: int, batch: int, repeats: int) -> dict:
         "batch": batch,
         "superbanks": superbanks,
         "seconds": timings,
+        "transform_seconds": transforms,
         "ops_per_s": ops_per_s,
         "speedup_vs_legacy_loop": {
             name: value / baseline for name, value in ops_per_s.items()
@@ -137,7 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument("--batch", type=int, default=None,
                         help="batch size (default 64, quick 16)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="best-of repeats (default 5, quick 2)")
+                        help="timed repeats, median reported "
+                             "(default 9, quick 3)")
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[256, 1024, 4096])
     parser.add_argument("--out", type=pathlib.Path,
@@ -145,7 +156,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     batch = args.batch or (16 if args.quick else 64)
-    repeats = args.repeats or (2 if args.quick else 5)
+    repeats = args.repeats or (3 if args.quick else 9)
     sizes = args.sizes if not args.quick else args.sizes[:2]
 
     results = []
@@ -163,6 +174,7 @@ def main(argv=None) -> int:
         "quick": bool(args.quick),
         "batch": batch,
         "repeats": repeats,
+        "statistic": "median",
         "results": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -158,11 +158,10 @@ class CryptoPIM:
         if self.fidelity == "bit":
             results = [self.multiply(a, b) for a, b in pairs]
         else:
-            n, q = self.config.n, self.config.q
-            a_block = np.stack(
-                [np.asarray(a, dtype=np.uint64) % q for a, _ in pairs])
-            b_block = np.stack(
-                [np.asarray(b, dtype=np.uint64) % q for _, b in pairs])
+            n = self.config.n
+            # one uint64 block per operand; multiply_many reduces it once
+            a_block = np.array([a for a, _ in pairs], dtype=np.uint64)
+            b_block = np.array([b for _, b in pairs], dtype=np.uint64)
             if a_block.shape != (len(pairs), n) or b_block.shape != (len(pairs), n):
                 raise ValueError(f"operands must have {n} coefficients")
             results = list(self._engine.multiply_many(a_block, b_block))

@@ -7,7 +7,8 @@ Public surface:
 * :mod:`repro.ntt.bitrev` - bit-reversal permutation
 * :mod:`repro.ntt.params` - the paper's (n, q, bitwidth) parameter sets
 * :mod:`repro.ntt.transform` - Gentleman-Sande NTT and Algorithm 1
-* :mod:`repro.ntt.batch` - batched 2-D kernels and the cached stage plan
+* :mod:`repro.ntt.batch` - batched 2-D kernels, the cached stage plan and
+  the width-chosen datapaths
 * :mod:`repro.ntt.naive` - schoolbook / Karatsuba reference multipliers
 * :mod:`repro.ntt.polynomial` - ring element type
 """
@@ -58,12 +59,6 @@ from .transform import (
     ntt_gs,
     ntt_gs_np,
 )
-from .variants import (
-    intt_dit,
-    intt_dit_np,
-    negacyclic_multiply_no_bitrev,
-    ntt_dif,
-    ntt_dif_np,
-)
+from .variants import intt_dit, negacyclic_multiply_no_bitrev, ntt_dif
 
 __all__ = [name for name in dir() if not name.startswith("_")]

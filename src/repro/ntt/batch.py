@@ -1,4 +1,4 @@
-"""Batched (2-D) Gentleman-Sande kernels and the cached per-degree stage plan.
+"""Batched (2-D) NTT kernels and the cached per-degree stage plan.
 
 Section III-D.2 of the paper reconfigures small degrees into *multiple
 parallel superbanks*, so the natural unit of work at production scale is a
@@ -8,22 +8,42 @@ precisely by amortising per-transform control overhead across many
 polynomials.  This module gives the software simulator the same shape: one
 set of numpy stage operations processes a whole ``(batch, n)`` block.
 
-Two pieces:
+The datapath is chosen by the width of the modulus alone:
+
+========================  =================================================
+``q < 2^16``              :func:`gs_kernel_batch` on ``uint32`` (the
+                          paper's 16-bit datapath, n <= 1024): bit-reversed
+                          input, ``%`` butterflies, separate phi twists
+``2^16 <= q < 2^26``      :func:`ct_forward_float` / :func:`gs_inverse_float`
+                          on signed ``float64`` with lazy reduction: phi
+                          folded into the twiddles, no row gathers
+``2^26 <= q < 2^31``      :func:`gs_kernel_batch` on ``uint64`` with exact
+                          ``%`` butterflies
+========================  =================================================
+
+Pieces:
 
 * :func:`stage_plan` - an ``lru_cache``-d per-degree **stage plan**: the
-  bit-reversal gather plus, for every butterfly stage, both the
-  reshape-based strided geometry ``(groups, distance)`` (gather-free fast
-  path) and explicit top/bottom/twiddle index tables (for non-contiguous
-  views and index-oriented consumers such as the PIM layout).  Building
-  these once per degree is what stops every transform from paying
-  ``np.arange`` + mask construction per stage.
-* :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D ``uint64``
-  array, in place; each row is one polynomial in bit-reversed order on
+  bit-reversal gather plus every butterfly stage's reshape geometry
+  ``(groups, distance)``, built once per degree.
+* :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D unsigned
+  block, in place; each row is one polynomial in bit-reversed order on
   entry and natural order on exit.
+* :func:`float_schedule` - the static per-``(n, q)`` reduction schedule of
+  the float datapath, with its 2^52 bound checked once.
+* :func:`ct_forward_float` / :func:`gs_inverse_float` - the merged
+  Cooley-Tukey forward (natural in, bit-reversed out) and Gentleman-Sande
+  inverse (bit-reversed in, natural out) on ``float64`` blocks.
 
-The 1-D kernel in :mod:`repro.ntt.transform` is a batch-of-one view of
-this kernel, so both paths share one plan cache and stay bit-identical by
-construction.
+Kernels take **column-major** ``(batch, n)`` blocks (Fortran order: the
+batch index varies fastest).  A stage then views the ``(n, batch)``
+transpose as ``(groups, 2, distance, batch)``, so even the distance-1
+stages run numpy loops over contiguous runs of at least ``batch`` values;
+on a row-major block those stages would loop over runs of ``distance``.
+
+Every kernel fires the stage hook once per butterfly stage with
+``stage = log2(distance)``, so :class:`repro.obs.KernelProfiler` cells mean
+the same thing on every datapath.
 """
 
 from __future__ import annotations
@@ -42,14 +62,19 @@ __all__ = [
     "stage_plan",
     "bitrev_gather_rows",
     "gs_kernel_batch",
-    "shoup_table",
-    "modmul_fixed",
+    "FloatSchedule",
+    "float_schedule",
+    "ct_forward_float",
+    "gs_inverse_float",
+    "modmul_float",
+    "reduce_float",
+    "canonical_float",
     "kernel_dtype",
     "check_kernel_modulus",
     "set_stage_hook",
     "StageHook",
     "KERNEL_MAX_Q_BITS",
-    "SHOUP_MAX_Q",
+    "FLOAT_MAX_Q",
     "UINT32_MAX_Q",
 ]
 
@@ -72,22 +97,24 @@ def set_stage_hook(hook: Optional[StageHook]) -> Optional[StageHook]:
     _STAGE_HOOK = hook
     return previous
 
-#: Shoup precomputation shift: w_shoup = floor(w * 2^31 / q)
-_SHOUP_SHIFT = np.uint64(31)
-#: moduli below this bound use division-free Shoup butterflies (the paper's
-#: largest modulus is 786433 ~ 2^20; RNS towers use 24-bit primes)
-SHOUP_MAX_Q = 1 << 26
 #: moduli below 2^16 run the whole datapath in uint32 (q^2 < 2^32, so no
 #: product overflows) - numpy's 32-bit integer ops are SIMD-vectorised and
 #: roughly 3x faster than 64-bit on the same element count, mirroring the
 #: paper's 16-bit datapath for n <= 1024
 UINT32_MAX_Q = 1 << 16
-#: widest modulus any numpy kernel datapath accepts.  The ``%`` fallback
+#: moduli from 2^16 up to (not including) this bound run on the float64
+#: lazy-reduction datapath: the paper's q = 786433 and 24-bit RNS primes.
+#: A twiddle product of two unreduced-but-bounded residues must stay below
+#: 2^52, which leaves no headroom for lazy sums once q reaches 2^26.
+FLOAT_MAX_Q = 1 << 26
+#: widest modulus any numpy kernel datapath accepts.  The ``%`` path
 #: multiplies the *biased* butterfly difference ``t + q - bot < 2q`` by a
 #: twiddle ``< q``, so intermediates need ``2*bits(q) + 1`` bits; 31-bit
 #: moduli are the largest whose products provably fit uint64.  (MOD001 in
 #: ``repro.analyze`` enforces the same budget statically.)
 KERNEL_MAX_Q_BITS = 31
+#: every integer the float datapath forms stays at or below this magnitude
+_FLOAT_CAP = 1 << 52
 
 
 def check_kernel_modulus(q: int) -> int:
@@ -106,39 +133,12 @@ def check_kernel_modulus(q: int) -> int:
 
 
 def kernel_dtype(q: int) -> np.dtype:
-    """Narrowest kernel dtype whose products cannot overflow for ``q``."""
-    return np.dtype(np.uint32) if q < UINT32_MAX_Q else np.dtype(np.uint64)
-
-
-def shoup_table(values: np.ndarray, q: int) -> np.ndarray:
-    """``floor(v * 2^31 / q)`` per element - the Shoup companion table.
-
-    With ``w_shoup`` precomputed, ``w * d mod q`` needs no division:
-    ``r = w*d - q*((d*w_shoup) >> 31)`` lands in ``[0, 2q)`` for any
-    ``d < 2^31``, finished by one conditional subtract.  Exact integer
-    arithmetic, so results are bit-identical to the ``%`` path.
-    """
-    v = np.asarray(values, dtype=np.uint64)
-    return (v << _SHOUP_SHIFT) // np.uint64(q)
-
-
-def _reduce_once(x: np.ndarray, q: np.uint64) -> np.ndarray:
-    """Map values in ``[0, 2q)`` to ``[0, q)`` in place (no division)."""
-    np.subtract(x, q, out=x, where=x >= q)
-    return x
-
-
-def modmul_fixed(x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-                 q: int) -> np.ndarray:
-    """``(x * w) mod q`` against a fixed uint64 constant table, division-free.
-
-    Requires ``x < q`` elementwise and ``q < SHOUP_MAX_Q``; the constant
-    tables come from :func:`shoup_table`.  (The uint32 datapath multiplies
-    with plain ``%`` instead - SIMD 32-bit division beats Shoup there.)
-    """
-    qq = np.uint64(q)
-    r = x * w - ((x * w_shoup) >> _SHOUP_SHIFT) * qq
-    return _reduce_once(r, qq)
+    """The kernel datapath dtype for ``q``: uint32, float64 or uint64."""
+    if q < UINT32_MAX_Q:
+        return np.dtype(np.uint32)
+    if q < FLOAT_MAX_Q:
+        return np.dtype(np.float64)
+    return np.dtype(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +150,17 @@ class StagePlan:
         log_n: number of butterfly stages.
         bitrev: ``int64`` gather for the bit-reversed write (Algorithm 1
             line 4; a row-address permutation in the hardware).
-        shapes: per-stage ``(groups, distance)``; stage ``i`` views the row
-            as ``(groups, 2, distance)`` so tops/bots are strided slices
-            and the twiddle for group ``g`` is simply ``tw[g]``.
-        tops / bots / twiddle_idx: per-stage explicit index tables
-            equivalent to the reshape geometry - the form the seed kernel
-            rebuilt on every call, now built once and shared.
+        shapes: ``(groups, distance)`` for butterfly distance ``2^i`` at
+            index ``i``.  Kernels run on column-major blocks, so the stage
+            views the ``(n, batch)`` transpose as ``(groups, 2, distance,
+            batch)``: group ``g``'s tops and bots are contiguous runs of
+            ``distance * batch`` values sharing one twiddle.
     """
 
     n: int
     log_n: int
     bitrev: np.ndarray
     shapes: Tuple[Tuple[int, int], ...]
-    tops: Tuple[np.ndarray, ...]
-    bots: Tuple[np.ndarray, ...]
-    twiddle_idx: Tuple[np.ndarray, ...]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=64)
@@ -182,32 +173,33 @@ def stage_plan(n: int) -> StagePlan:
     if n < 2 or n & (n - 1):
         raise ValueError(f"degree must be a power of two >= 2, got {n}")
     log_n = n.bit_length() - 1
-    rev = _frozen(np.asarray(bitrev_indices(n), dtype=np.int64))
-    shapes = []
-    tops, bots, twiddle_idx = [], [], []
-    idx = np.arange(n, dtype=np.int64)
-    for i in range(log_n):
-        distance = 1 << i
-        groups = n >> (i + 1)
-        shapes.append((groups, distance))
-        t = idx[(idx & distance) == 0]
-        tops.append(_frozen(t))
-        bots.append(_frozen(t + distance))
-        twiddle_idx.append(_frozen(t >> (i + 1)))
-    return StagePlan(
-        n=n,
-        log_n=log_n,
-        bitrev=rev,
-        shapes=tuple(shapes),
-        tops=tuple(tops),
-        bots=tuple(bots),
-        twiddle_idx=tuple(twiddle_idx),
-    )
+    rev = np.asarray(bitrev_indices(n), dtype=np.int64)
+    rev.setflags(write=False)
+    shapes = tuple((n >> (i + 1), 1 << i) for i in range(log_n))
+    return StagePlan(n=n, log_n=log_n, bitrev=rev, shapes=shapes)
 
 
 def bitrev_gather_rows(values: np.ndarray, plan: StagePlan) -> np.ndarray:
-    """Row-wise bit-reversal gather of a ``(batch, n)`` array (fresh array)."""
-    return values[:, plan.bitrev]
+    """Row-wise bit-reversal gather of a ``(batch, n)`` array into a fresh
+    column-major block."""
+    return values.T[plan.bitrev].T
+
+
+def _columns(values: np.ndarray, plan: StagePlan | None
+             ) -> Tuple[np.ndarray, StagePlan]:
+    """The ``(n, batch)`` C-contiguous view of a column-major block."""
+    if values.ndim != 2:
+        raise ValueError(f"expected a (batch, n) array, got shape {values.shape}")
+    if not values.flags.f_contiguous:
+        raise ValueError(
+            "kernel blocks must be column-major (Fortran-contiguous): "
+            "bitrev_gather_rows and the engine's marshalling produce them")
+    n = values.shape[1]
+    if plan is None:
+        plan = stage_plan(n)
+    elif plan.n != n:
+        raise ValueError(f"plan is for n={plan.n}, values have n={n}")
+    return values.T, plan
 
 
 def gs_kernel_batch(
@@ -215,78 +207,237 @@ def gs_kernel_batch(
     twiddles_bitrev: np.ndarray,
     q: int,
     plan: StagePlan | None = None,
-    twiddles_shoup: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorised Algorithm 2 over a ``(batch, n)`` uint64 array, in place.
+    """Vectorised Algorithm 2 over a column-major ``(batch, n)`` block, in
+    place.
 
     Rows enter in bit-reversed order and leave holding the transform in
-    natural order.  C-contiguous inputs take the gather-free reshape path;
-    strided views fall back to the plan's cached index tables (still in
-    place, still no per-call index construction).
-
-    For ``q < SHOUP_MAX_Q`` the butterflies use Shoup multiplication
-    (``twiddles_shoup`` is derived once per call if the caller has not
-    cached it); larger moduli fall back to ``%``.  Both produce identical
-    bits.
+    natural order.  The integer datapaths (``uint32`` for ``q < 2^16``,
+    ``uint64`` for wider moduli) reduce every butterfly with ``%``.
     """
     check_kernel_modulus(q)
-    if values.ndim != 2:
-        raise ValueError(f"expected a (batch, n) array, got shape {values.shape}")
-    batch, n = values.shape
+    cols, plan = _columns(values, plan)
+    n, batch = cols.shape
     if batch == 0:
         return values  # empty batch: nothing to transform
-    if plan is None:
-        plan = stage_plan(n)
-    elif plan.n != n:
-        raise ValueError(f"plan is for n={plan.n}, values have n={n}")
     tw = twiddles_bitrev
-    qq = np.uint64(q)
-    # uint32 values take the plain-% branch: 32-bit SIMD division is faster
-    # than Shoup's extra passes, and Shoup's 2^31 shift would overflow
-    use_shoup = q < SHOUP_MAX_Q and values.dtype == np.uint64
-    if use_shoup and twiddles_shoup is None:
-        twiddles_shoup = shoup_table(tw, q)
     hook = _STAGE_HOOK
-    if values.flags.c_contiguous:
-        for stage, (groups, distance) in enumerate(plan.shapes):
-            began = perf_counter() if hook is not None else 0.0
-            v = values.reshape(batch, groups, 2, distance)
-            bot = v[:, :, 1, :]
-            t = v[:, :, 0, :].copy()
-            w = tw[:groups].reshape(1, groups, 1)
-            if use_shoup:
-                ws = twiddles_shoup[:groups].reshape(1, groups, 1)
-                # top: (t + bot) mod q via one conditional subtract
-                s = t + bot
-                v[:, :, 0, :] = _reduce_once(s, qq)
-                # bot: w * (t - bot) mod q; the difference stays in [0, 2q)
-                # and feeds the Shoup product unreduced (d < 2q << 2^31)
-                d = t + qq - bot
-                r = d * w - ((d * ws) >> _SHOUP_SHIFT) * qq
-                v[:, :, 1, :] = _reduce_once(r, qq)
-            else:
-                v[:, :, 0, :] = (t + bot) % q
-                # (t - bot) can be negative; lift by q before the unsigned
-                # subtract
-                v[:, :, 1, :] = (w * ((t + q - bot) % q)) % q
-            if hook is not None:
-                hook(n, stage, batch, perf_counter() - began)
-    else:
-        for stage, (tops, bots, widx) in enumerate(
-                zip(plan.tops, plan.bots, plan.twiddle_idx)):
-            began = perf_counter() if hook is not None else 0.0
-            w = tw[widx]
-            t = values[:, tops]
-            bot = values[:, bots]
-            if use_shoup:
-                ws = twiddles_shoup[widx]
-                values[:, tops] = _reduce_once(t + bot, qq)
-                d = t + qq - bot
-                r = d * w - ((d * ws) >> _SHOUP_SHIFT) * qq
-                values[:, bots] = _reduce_once(r, qq)
-            else:
-                values[:, tops] = (t + bot) % q
-                values[:, bots] = (w * ((t + q - bot) % q)) % q
-            if hook is not None:
-                hook(n, stage, batch, perf_counter() - began)
+    for stage, (groups, distance) in enumerate(plan.shapes):
+        began = perf_counter() if hook is not None else 0.0
+        v = cols.reshape(groups, 2, distance, batch)
+        bot = v[:, 1]
+        t = v[:, 0].copy()
+        w = tw[:groups].reshape(groups, 1, 1)
+        v[:, 0] = (t + bot) % q
+        # (t - bot) can be negative; lift by q before the unsigned subtract
+        v[:, 1] = (w * ((t + q - bot) % q)) % q
+        if hook is not None:
+            hook(n, stage, batch, perf_counter() - began)
+    return values
+
+
+# ---------------------------------------------------------------------------
+# float64 lazy-reduction datapath (2^16 <= q < 2^26)
+# ---------------------------------------------------------------------------
+
+def modmul_float(x: np.ndarray, w, w_over_q, q: float,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out = x*w - rint(x * (w/q)) * q``: a signed residue of ``x*w``.
+
+    ``x`` and ``w`` hold integers in float64 with ``|x*w| <= 2^52`` (the
+    caller's :class:`FloatSchedule` guarantees it), and ``w_over_q`` is
+    ``fl(w / q)``.  Then:
+
+    * ``x*w`` is an integer below 2^53, so its float product is exact;
+    * ``fl(x * fl(w/q))`` differs from the real ``x*w/q`` by at most
+      ``|x*w/q| * 2^-52 * (1 + 2^-53) <= (1 + 2^-52)/q``, so with
+      ``k = rint(...)``, ``|k - x*w/q| <= 1/2 + 1.01/q < 1``;
+    * hence ``|k*q| <= |x*w| + q < 2^53`` is exact too, and the difference
+      ``r = x*w - k*q = q * (x*w/q - k)`` is an exactly representable
+      integer with ``|r| < q`` - in fact ``|r| <= q//2 + 1`` for odd
+      ``q >= 2^16``.
+
+    ``r == x*w (mod q)`` exactly.  ``scratch`` must not alias ``x``;
+    ``out`` may.
+    """
+    np.multiply(x, w_over_q, out=scratch)
+    np.rint(scratch, out=scratch)
+    np.multiply(scratch, q, out=scratch)
+    np.multiply(x, w, out=out)
+    np.subtract(out, scratch, out=out)
+    return out
+
+
+def canonical_float(x: np.ndarray, q: float) -> np.ndarray:
+    """Map signed residues with ``|x| < q`` to ``[0, q)`` in place."""
+    np.add(x, q, out=x, where=x < 0)
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class FloatSchedule:
+    """Where the float datapath reduces, for one ``(n, q)``.
+
+    Values are tracked by a bound on their magnitude.  A twiddle product
+    (``|w| <= q//2``) or an explicit reduction ``x - rint(x/q)*q`` leaves
+    ``|r| <= q//2 + 1`` (:func:`modmul_float`); a butterfly sum or
+    difference adds the bounds of its inputs.  Reductions are inserted
+    exactly where a following product would otherwise pass 2^52.
+
+    Attributes:
+        q: the modulus.
+        forward: per Cooley-Tukey stage, in execution order (distances
+            ``n/2 .. 1``): reduce the whole block before the stage.
+        reduce_operands: reduce ``(a, b)`` before the pointwise product.
+        inverse: per Gentleman-Sande stage, in execution order (distances
+            ``1 .. n/2``): reduce the tops after the stage.
+    """
+
+    q: int
+    forward: Tuple[bool, ...]
+    reduce_operands: Tuple[bool, bool]
+    inverse: Tuple[bool, ...]
+
+
+def float_schedule(n: int, q: int) -> FloatSchedule:
+    """Compute and check the reduction schedule of the float datapath.
+
+    Inputs enter both transforms canonical (``[0, q)``); the scaled output
+    of the inverse and of the pointwise product are signed residues.
+    Raises ``ValueError`` if ``q`` is outside the float datapath or any
+    product of the schedule could reach 2^52.
+    """
+    if not UINT32_MAX_Q <= q < FLOAT_MAX_Q:
+        raise ValueError(
+            f"the float64 datapath serves 2^16 <= q < 2^26, got q = {q}")
+    log_n = stage_plan(n).log_n
+    tw = q // 2          # centered twiddle magnitude
+    red = q // 2 + 1     # product / reduction output magnitude
+
+    def product(x: int, w: int) -> None:
+        if x * w > _FLOAT_CAP:
+            raise ValueError(
+                f"float datapath product bound {x} * {w} exceeds 2^52 "
+                f"for n = {n}, q = {q}")
+
+    forward = []
+    bound = q - 1
+    for _ in range(log_n):
+        reduce = bound * tw > _FLOAT_CAP
+        if reduce:
+            bound = red
+        product(bound, tw)
+        forward.append(reduce)
+        bound += red
+
+    ops = [bound, bound]
+    reduce_operands = [False, False]
+    for i in range(2):
+        if ops[0] * ops[1] > _FLOAT_CAP:
+            ops[i] = red
+            reduce_operands[i] = True
+    product(ops[0], ops[1])
+
+    inverse = []
+    bound = q - 1
+    for i in range(log_n):
+        product(2 * bound, tw)           # w * (top - bot)
+        top = 2 * bound
+        # the next stage multiplies a difference of two such values; the
+        # last one feeds the n^-1 scale
+        nxt = top * tw * (2 if i + 1 < log_n else 1)
+        reduce = nxt > _FLOAT_CAP
+        inverse.append(reduce)
+        bound = red if reduce else top
+    product(bound, tw)                   # n^-1 scale
+    return FloatSchedule(q=q, forward=tuple(forward),
+                         reduce_operands=(reduce_operands[0],
+                                          reduce_operands[1]),
+                         inverse=tuple(inverse))
+
+
+def reduce_float(x: np.ndarray, q: float, scratch: np.ndarray) -> np.ndarray:
+    """``x -= rint(x / q) * q`` in place: :func:`modmul_float` with ``w = 1``,
+    so ``|x| <= 2^52`` leaves ``|x| <= q//2 + 1``."""
+    return modmul_float(x, 1.0, 1.0 / q, q, x, scratch)
+
+
+def _scratch(batch: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty(batch * n // 2), np.empty(batch * n // 2)
+
+
+def ct_forward_float(values: np.ndarray, zeta: np.ndarray,
+                     zeta_over_q: np.ndarray, schedule: FloatSchedule,
+                     plan: StagePlan | None = None) -> np.ndarray:
+    """Merged Cooley-Tukey forward NTT on a column-major float64 block, in
+    place.
+
+    Rows enter in natural order and leave in bit-reversed order.  The
+    stage with ``G`` groups (distance ``n / 2G``) reads ``zeta[G:2G]``:
+    ``zeta[k] = phi^brv(k)`` gives the negacyclic transform with the phi
+    twist folded in, ``zeta[G + g] = w^brv(g)`` the cyclic one.  Butterfly
+    sums stay unreduced; ``schedule.forward`` says where to reduce.
+    """
+    cols, plan = _columns(values, plan)
+    n, batch = cols.shape
+    if batch == 0:
+        return values
+    q = float(schedule.q)
+    t_buf, k_buf = _scratch(batch, n)
+    hook = _STAGE_HOOK
+    for stage in reversed(range(plan.log_n)):
+        began = perf_counter() if hook is not None else 0.0
+        groups, distance = plan.shapes[stage]
+        v = cols.reshape(groups, 2, distance, batch)
+        top = v[:, 0]
+        bot = v[:, 1]
+        t = t_buf.reshape(groups, distance, batch)
+        k = k_buf.reshape(groups, distance, batch)
+        if schedule.forward[plan.log_n - 1 - stage]:
+            reduce_float(top, q, k)
+            reduce_float(bot, q, k)
+        w = zeta[groups:2 * groups].reshape(groups, 1, 1)
+        wq = zeta_over_q[groups:2 * groups].reshape(groups, 1, 1)
+        modmul_float(bot, w, wq, q, t, k)
+        np.subtract(top, t, out=bot)
+        np.add(top, t, out=top)
+        if hook is not None:
+            hook(n, stage, batch, perf_counter() - began)
+    return values
+
+
+def gs_inverse_float(values: np.ndarray, zeta_inv: np.ndarray,
+                     zeta_inv_over_q: np.ndarray, schedule: FloatSchedule,
+                     plan: StagePlan | None = None) -> np.ndarray:
+    """Gentleman-Sande inverse NTT on a column-major float64 block, in
+    place, unscaled.
+
+    Rows enter in bit-reversed order and leave in natural order, each
+    value ``n`` times the inverse transform.  The stage with ``G`` groups
+    reads ``zeta_inv[G:2G]``, the inverses of the forward table.  Tops
+    stay unreduced; ``schedule.inverse`` says where to reduce them.
+    """
+    cols, plan = _columns(values, plan)
+    n, batch = cols.shape
+    if batch == 0:
+        return values
+    q = float(schedule.q)
+    t_buf, k_buf = _scratch(batch, n)
+    hook = _STAGE_HOOK
+    for stage, (groups, distance) in enumerate(plan.shapes):
+        began = perf_counter() if hook is not None else 0.0
+        v = cols.reshape(groups, 2, distance, batch)
+        top = v[:, 0]
+        bot = v[:, 1]
+        t = t_buf.reshape(groups, distance, batch)
+        k = k_buf.reshape(groups, distance, batch)
+        np.subtract(top, bot, out=t)
+        np.add(top, bot, out=top)
+        w = zeta_inv[groups:2 * groups].reshape(groups, 1, 1)
+        wq = zeta_inv_over_q[groups:2 * groups].reshape(groups, 1, 1)
+        modmul_float(t, w, wq, q, bot, k)
+        if schedule.inverse[stage]:
+            reduce_float(top, q, k)
+        if hook is not None:
+            hook(n, stage, batch, perf_counter() - began)
     return values

@@ -12,28 +12,36 @@ Negacyclic multiplication in ``Z_q[x]/(x^n + 1)`` (Algorithm 1) wraps the
 kernel with the ``phi^i`` twist: scale inputs by ``phi^i``, transform,
 multiply pointwise, inverse-transform, scale by ``n^-1 * phi^-i``.
 
-Two implementations are provided with identical semantics:
+Implementations with identical results:
 
 * pure-Python on ``list[int]`` - the readable ground truth;
-* vectorised numpy on ``uint64`` arrays - the fast path used by the PIM
-  simulator's functional mode and the CPU baseline.
+* vectorised numpy ``*_np`` functions on ``uint64`` arrays (the exact
+  ``%`` datapath, one polynomial at a time);
+* :class:`NttEngine` - the production batched engine used by the PIM
+  simulator's functional mode, the crypto layer and the CPU baseline.
+  Its datapath follows the width of ``q`` (:mod:`repro.ntt.batch`); for
+  ``2^16 <= q < 2^26`` it folds the ``phi`` twist into the twiddles and
+  never gathers a row.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .batch import (
-    SHOUP_MAX_Q,
     StagePlan,
     bitrev_gather_rows,
+    canonical_float,
     check_kernel_modulus,
+    ct_forward_float,
+    float_schedule,
+    gs_inverse_float,
     gs_kernel_batch,
     kernel_dtype,
-    modmul_fixed,
-    shoup_table,
+    modmul_float,
+    reduce_float,
     stage_plan,
 )
 from .bitrev import bitrev_indices, bitrev_permute, bitrev_permute_array
@@ -127,10 +135,8 @@ def negacyclic_multiply(
 def _gs_kernel_np(values: np.ndarray, twiddles_bitrev: np.ndarray, q: int) -> np.ndarray:
     """Vectorised Algorithm 2 on a bit-reversed uint64 array (in place).
 
-    A batch-of-one view of :func:`repro.ntt.batch.gs_kernel_batch`: the
-    per-stage index tables / strided geometry come from the cached
-    :func:`repro.ntt.batch.stage_plan`, so repeated calls at the same
-    degree no longer rebuild ``np.arange`` + masks per stage.
+    A batch-of-one view of :func:`repro.ntt.batch.gs_kernel_batch` on its
+    exact ``%`` datapath, sharing the cached stage plan.
     """
     gs_kernel_batch(values[None], np.asarray(twiddles_bitrev, dtype=np.uint64), q)
     return values
@@ -168,6 +174,24 @@ def negacyclic_multiply_np(
 # Engine facade
 # ---------------------------------------------------------------------------
 
+def _signed_table(values, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Residues as centered float64 (``|w| <= q//2``) plus ``fl(w / q)``."""
+    w = np.asarray(values, dtype=np.int64)
+    w = np.where(w > q // 2, w - q, w).astype(np.float64)
+    return w, w / q
+
+
+def _stage_layout(twiddles_bitrev: Sequence[int]) -> List[int]:
+    """Lay out a bit-reversed cyclic twiddle table so the stage with ``G``
+    groups reads its ``G`` twiddles from ``[G:2G]`` (index 0 unused)."""
+    table = [1]
+    groups = 1
+    while groups <= len(twiddles_bitrev):
+        table.extend(twiddles_bitrev[:groups])
+        groups *= 2
+    return table
+
+
 class NttEngine:
     """Convenience bundle of one parameter set plus cached twiddle tables.
 
@@ -179,33 +203,42 @@ class NttEngine:
     offers ``forward_many``/``inverse_many``/``multiply_many`` over
     ``(batch, n)`` blocks: one set of numpy stage operations covers the
     whole batch (the software analogue of the paper's parallel superbanks).
-    Both paths share the cached :class:`~repro.ntt.batch.StagePlan`, so
-    even single-pair calls stop rebuilding stage indices.
+    Single-pair calls are batches of one.
+
+    The datapath follows the width of ``q`` (see :mod:`repro.ntt.batch`):
+    ``uint32`` Gentleman-Sande for ``q < 2^16``, the gather-free float64
+    pair for ``2^16 <= q < 2^26``, exact ``%`` on ``uint64`` above.  Every
+    datapath returns canonical residues in ``[0, q)``, bit-identical to the
+    pure-Python oracle.
     """
 
     def __init__(self, params: NttParams):
         check_kernel_modulus(params.q)
         self.params = params
-        self._plan: StagePlan = stage_plan(params.n)
-        #: kernel datapath width: uint32 when q^2 fits (the 16-bit moduli,
-        #: mirroring the paper's 16-bit datapath for n <= 1024), else uint64
-        self._dtype = kernel_dtype(params.q)
+        n, q = params.n, params.q
+        self._plan: StagePlan = stage_plan(n)
+        self._dtype = kernel_dtype(q)
+        if self._dtype == np.float64:
+            self._schedule = float_schedule(n, q)
+            rev = self._plan.bitrev
+            #: negacyclic tables, phi folded in: zeta[k] = phi^brv(k)
+            self._zeta = _signed_table(
+                np.asarray(params.phi_powers())[rev], q)
+            self._zeta_inv = _signed_table(
+                np.asarray(params.phi_inv_powers())[rev], q)
+            #: cyclic tables for the standalone transforms
+            self._cyclic = _signed_table(
+                _stage_layout(params.forward_twiddles_bitrev()), q)
+            self._cyclic_inv = _signed_table(
+                _stage_layout(params.inverse_twiddles_bitrev()), q)
+            self._n_inv = _signed_table([params.n_inv], q)
+            return
         dt = self._dtype
         self._phi = np.asarray(params.phi_powers(), dtype=dt)
-        self._phi_inv = np.asarray(params.phi_inv_powers(), dtype=dt)
         self._fwd_tw = np.asarray(params.forward_twiddles_bitrev(), dtype=dt)
         self._inv_tw = np.asarray(params.inverse_twiddles_bitrev(), dtype=dt)
         #: n^-1 * phi^-i fused post-scale (the table the PIM stores too)
         self._post = np.asarray(params.phi_inv_powers_scaled(), dtype=dt)
-        if dt == np.uint64 and params.q < SHOUP_MAX_Q:
-            q = params.q
-            self._fwd_shoup = shoup_table(self._fwd_tw, q)
-            self._inv_shoup = shoup_table(self._inv_tw, q)
-            self._phi_shoup = shoup_table(self._phi, q)
-            self._post_shoup = shoup_table(self._post, q)
-        else:
-            self._fwd_shoup = self._inv_shoup = None
-            self._phi_shoup = self._post_shoup = None
 
     @classmethod
     def for_degree(cls, n: int) -> "NttEngine":
@@ -236,41 +269,56 @@ class NttEngine:
     # -- batched operations -------------------------------------------------
 
     def _as_batch(self, values: np.ndarray) -> np.ndarray:
+        """One reduction mod ``q`` into a fresh column-major block of the
+        datapath dtype (the layout every kernel stage runs on)."""
         arr = np.asarray(values, dtype=np.uint64)
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(
                 f"expected a (batch, {self.n}) array, got shape {arr.shape}"
             )
-        return (arr % self.q).astype(self._dtype, copy=False)
+        # written as the C-contiguous (n, batch) transpose: numpy then walks
+        # the output contiguously, which is the cheaper side of the transpose
+        cols = np.empty(arr.shape[::-1], dtype=self._dtype)
+        np.remainder(arr.T, np.uint64(self.q), out=cols)
+        return cols.T
 
-    def _modmul_table(self, x: np.ndarray, table: np.ndarray,
-                      table_shoup) -> np.ndarray:
-        """``(x * table) mod q`` against a cached constant table."""
-        if table_shoup is not None:
-            return modmul_fixed(x, table, table_shoup, self.q)
-        return (x * table) % self.q  # uint32 datapath / huge-q fallback
+    def _finish_float(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Bounded signed values -> canonical uint64 residues."""
+        q = float(self.q)
+        return canonical_float(reduce_float(x, q, scratch), q).astype(np.uint64)
 
     def forward_many(self, values: np.ndarray) -> np.ndarray:
         """Forward NTT of every row of a ``(batch, n)`` block."""
-        work = bitrev_gather_rows(self._as_batch(values), self._plan)
-        return gs_kernel_batch(work, self._fwd_tw, self.q, self._plan,
-                               self._fwd_shoup)
+        work = self._as_batch(values)
+        plan = self._plan
+        if self._dtype != np.float64:
+            return gs_kernel_batch(bitrev_gather_rows(work, plan),
+                                   self._fwd_tw, self.q, plan)
+        ct_forward_float(work, *self._cyclic, self._schedule, plan)
+        out = self._finish_float(work, np.empty_like(work))
+        return bitrev_gather_rows(out, plan)
 
     def inverse_many(self, values: np.ndarray) -> np.ndarray:
         """Inverse NTT (with ``n^-1`` scaling) of every row."""
-        work = bitrev_gather_rows(self._as_batch(values), self._plan)
-        gs_kernel_batch(work, self._inv_tw, self.q, self._plan,
-                        self._inv_shoup)
-        return (work * self.params.n_inv) % self.q
+        q, plan = self.q, self._plan
+        work = bitrev_gather_rows(self._as_batch(values), plan)
+        if self._dtype != np.float64:
+            gs_kernel_batch(work, self._inv_tw, q, plan)
+            return (work * self.params.n_inv) % q
+        gs_inverse_float(work, *self._cyclic_inv, self._schedule, plan)
+        scratch = np.empty_like(work)
+        modmul_float(work, *self._n_inv, float(q), work, scratch)
+        return canonical_float(work, float(q)).astype(np.uint64)
 
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Negacyclic products of ``(batch, n)`` operand blocks, row-wise.
 
         Bit-identical to calling :meth:`multiply` on each row, at the cost
         of roughly one transform's worth of numpy dispatch for the whole
-        batch.  The pre-twist, post-twist and ``n^-1`` scalings run
-        against cached Shoup tables (the post scale is the fused
-        ``n^-1 * phi^-i`` column the PIM itself stores).
+        batch.  On the float datapath the phi twists live in the twiddles
+        and the pointwise product runs in bit-reversed order, so nothing is
+        gathered; the integer datapaths bit-reverse rows and scale by the
+        fused ``n^-1 * phi^-i`` column the PIM itself stores.
         """
         q = self.q
         a2 = self._as_batch(a)
@@ -280,13 +328,29 @@ class NttEngine:
                 f"operand batches differ: {a2.shape[0]} vs {b2.shape[0]}"
             )
         plan = self._plan
-        a_hat = gs_kernel_batch(
-            bitrev_gather_rows(self._modmul_table(a2, self._phi, self._phi_shoup), plan),
-            self._fwd_tw, q, plan, self._fwd_shoup)
-        b_hat = gs_kernel_batch(
-            bitrev_gather_rows(self._modmul_table(b2, self._phi, self._phi_shoup), plan),
-            self._fwd_tw, q, plan, self._fwd_shoup)
-        c_twisted = gs_kernel_batch(
-            bitrev_gather_rows((a_hat * b_hat) % q, plan),
-            self._inv_tw, q, plan, self._inv_shoup)
-        return self._modmul_table(c_twisted, self._post, self._post_shoup)
+        if self._dtype != np.float64:
+            a_hat = gs_kernel_batch(
+                bitrev_gather_rows((a2 * self._phi) % q, plan),
+                self._fwd_tw, q, plan)
+            b_hat = gs_kernel_batch(
+                bitrev_gather_rows((b2 * self._phi) % q, plan),
+                self._fwd_tw, q, plan)
+            c_twisted = gs_kernel_batch(
+                bitrev_gather_rows((a_hat * b_hat) % q, plan),
+                self._inv_tw, q, plan)
+            return (c_twisted * self._post) % q
+        schedule = self._schedule
+        qf = float(q)
+        ct_forward_float(a2, *self._zeta, schedule, plan)
+        ct_forward_float(b2, *self._zeta, schedule, plan)
+        if any(schedule.reduce_operands):
+            scratch = np.empty_like(a2)
+            for block, reduce in zip((a2, b2), schedule.reduce_operands):
+                if reduce:
+                    reduce_float(block, qf, scratch)
+        # pointwise product in bit-reversed order; b2 becomes scratch
+        np.multiply(a2, b2, out=a2)
+        reduce_float(a2, qf, b2)
+        gs_inverse_float(a2, *self._zeta_inv, schedule, plan)
+        modmul_float(a2, *self._n_inv, qf, a2, b2)
+        return canonical_float(a2, qf).astype(np.uint64)

@@ -15,14 +15,16 @@ decimation-in-frequency forward with a decimation-in-time inverse so that
 happen in bit-reversed order, which is harmless).  Tests assert exact
 agreement with the paper-faithful kernel of :mod:`repro.ntt.transform`,
 which is the point: two independent dataflow derivations of the same
-transform cross-validate each other.
+transform cross-validate each other.  The production float64 datapath of
+:mod:`repro.ntt.batch` keeps the same orders (natural in, bit-reversed
+between the transforms, natural out) with Cooley-Tukey forward and
+Gentleman-Sande inverse butterflies and the phi twist folded into its
+twiddles; the tests check it against these functions.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
-
-import numpy as np
 
 from .bitrev import bitrev_permute
 from .params import NttParams
@@ -31,8 +33,6 @@ __all__ = [
     "ntt_dif",
     "intt_dit",
     "negacyclic_multiply_no_bitrev",
-    "ntt_dif_np",
-    "intt_dit_np",
 ]
 
 
@@ -101,52 +101,3 @@ def negacyclic_multiply_no_bitrev(
     c_t = intt_dit(c_hat, params)
     phi_inv = params.phi_inv_powers()
     return [(x * p) % q for x, p in zip(c_t, phi_inv)]
-
-
-# ---------------------------------------------------------------------------
-# Vectorised variants
-# ---------------------------------------------------------------------------
-
-def ntt_dif_np(values: np.ndarray, params: NttParams) -> np.ndarray:
-    """Vectorised :func:`ntt_dif`."""
-    q, n = params.q, params.n
-    a = np.asarray(values, dtype=np.uint64) % q
-    if a.shape != (n,):
-        raise ValueError(f"expected {n} values")
-    a = a.copy()
-    twiddles = np.asarray(params.forward_twiddles(), dtype=np.uint64)
-    half = n // 2
-    while half >= 1:
-        step = n // (2 * half)
-        idx = np.arange(n)
-        tops = idx[(idx % (2 * half)) < half]
-        bots = tops + half
-        w = twiddles[(tops % (2 * half)) * step]
-        x, y = a[tops].copy(), a[bots].copy()
-        a[tops] = (x + y) % q
-        a[bots] = (w * ((x + q - y) % q)) % q
-        half //= 2
-    return a
-
-
-def intt_dit_np(values: np.ndarray, params: NttParams) -> np.ndarray:
-    """Vectorised :func:`intt_dit` (includes the ``n^-1`` scaling)."""
-    q, n = params.q, params.n
-    a = np.asarray(values, dtype=np.uint64) % q
-    if a.shape != (n,):
-        raise ValueError(f"expected {n} values")
-    a = a.copy()
-    twiddles = np.asarray(params.inverse_twiddles(), dtype=np.uint64)
-    half = 1
-    while half < n:
-        step = n // (2 * half)
-        idx = np.arange(n)
-        tops = idx[(idx % (2 * half)) < half]
-        bots = tops + half
-        w = twiddles[(tops % (2 * half)) * step]
-        x = a[tops].copy()
-        y = (w * a[bots]) % q
-        a[tops] = (x + y) % q
-        a[bots] = (x + q - y) % q
-        half *= 2
-    return (a * np.uint64(params.n_inv)) % q

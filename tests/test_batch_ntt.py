@@ -6,10 +6,11 @@ import pytest
 from repro.arch.chip import CryptoPimChip
 from repro.core.accelerator import CryptoPIM
 from repro.ntt.batch import (
+    FLOAT_MAX_Q,
     UINT32_MAX_Q,
+    bitrev_gather_rows,
     gs_kernel_batch,
     kernel_dtype,
-    shoup_table,
     stage_plan,
 )
 from repro.ntt.params import params_for_degree
@@ -39,19 +40,15 @@ class TestStagePlan:
 
     def test_tables_match_reshape_geometry(self):
         plan = stage_plan(64)
+        assert plan.log_n == 6
         for stage, (groups, distance) in enumerate(plan.shapes):
-            tops = plan.tops[stage]
+            assert distance == 1 << stage
             assert groups * distance * 2 == 64
-            assert np.array_equal(plan.bots[stage], tops + distance)
-            assert np.array_equal(plan.twiddle_idx[stage], tops >> (stage + 1))
-            assert not np.any(tops & distance)
 
     def test_tables_read_only(self):
         plan = stage_plan(128)
         with pytest.raises(ValueError):
             plan.bitrev[0] = 1
-        with pytest.raises(ValueError):
-            plan.tops[0][0] = 1
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -62,40 +59,34 @@ class TestStagePlan:
 
 
 class TestKernelPaths:
-    """The contiguous reshape path and the strided gather path agree."""
+    """Kernels run on column-major blocks and refuse anything else."""
 
-    def test_noncontiguous_matches_contiguous(self, rng):
+    def test_noncontiguous_block_rejected(self, rng):
         params = params_for_degree(64)
         eng = NttEngine(params)
-        wide = rng.integers(0, params.q, (3, 128)).astype(np.uint64)
-        strided = wide[:, ::2]
-        contiguous = strided.copy()
-        gs_kernel_batch(strided, eng._fwd_tw.astype(np.uint64), params.q)
-        gs_kernel_batch(contiguous, eng._fwd_tw.astype(np.uint64), params.q)
-        assert np.array_equal(strided, contiguous)
+        rows = rng.integers(0, params.q, (3, 64)).astype(np.uint32)
+        with pytest.raises(ValueError, match="column-major"):
+            gs_kernel_batch(rows, eng._fwd_tw, params.q)
+        with pytest.raises(ValueError, match="column-major"):
+            gs_kernel_batch(np.asfortranarray(rng.integers(
+                0, params.q, (3, 128)).astype(np.uint32))[:, ::2],
+                eng._fwd_tw, params.q)
 
-    def test_shoup_matches_modulo(self, rng):
-        # same twiddles, with and without the precomputed Shoup companion
-        params = params_for_degree(2048)  # q = 786433 -> uint64 datapath
-        eng = NttEngine(params)
-        a = rng.integers(0, params.q, (4, 2048)).astype(np.uint64)
-        with_shoup = gs_kernel_batch(a.copy(), eng._fwd_tw, params.q,
-                                     twiddles_shoup=eng._fwd_shoup)
-        on_the_fly = gs_kernel_batch(a.copy(), eng._fwd_tw, params.q)
-        assert np.array_equal(with_shoup, on_the_fly)
-
-    def test_shoup_table_values(self):
-        tw = np.asarray([1, 2, 12288], dtype=np.uint64)
-        got = shoup_table(tw, 12289)
-        expected = [(int(v) << 31) // 12289 for v in tw]
-        assert list(map(int, got)) == expected
+    def test_gather_yields_column_major(self, rng):
+        plan = stage_plan(64)
+        rows = rng.integers(0, 7681, (3, 64)).astype(np.uint64)
+        block = bitrev_gather_rows(rows, plan)
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, rows[:, plan.bitrev])
 
     def test_kernel_dtype_tiers(self):
         assert kernel_dtype(7681) == np.uint32
         assert kernel_dtype(12289) == np.uint32
-        assert kernel_dtype(786433) == np.uint64
+        assert kernel_dtype(786433) == np.float64
         assert kernel_dtype(UINT32_MAX_Q - 1) == np.uint32
-        assert kernel_dtype(UINT32_MAX_Q) == np.uint64
+        assert kernel_dtype(UINT32_MAX_Q) == np.float64
+        assert kernel_dtype(FLOAT_MAX_Q - 1) == np.float64
+        assert kernel_dtype(FLOAT_MAX_Q) == np.uint64
 
 
 class TestBatchedEngine:
@@ -193,6 +184,11 @@ class TestAcceleratorBatch:
         eng = NttEngine.for_degree(256)
         out = gs_kernel_batch(empty, eng._fwd_tw.astype(np.uint64), eng.q)
         assert out.shape == (0, 256)
+        assert eng.multiply_many(empty, empty).shape == (0, 256)
+        big = NttEngine.for_degree(2048)
+        empty = np.empty((0, 2048), dtype=np.uint64)
+        assert big.multiply_many(empty, empty).shape == (0, 2048)
+        assert big.forward_many(empty).shape == (0, 2048)
 
     def test_batch_counts_multiplications(self, rng):
         acc = CryptoPIM.for_degree(256)

@@ -159,3 +159,27 @@ class TestTripleImplementationAgreement:
         scaled_then = ntt_gs([(scalar * x) % p.q for x in coeffs], p)
         then_scaled = [(scalar * x) % p.q for x in ntt_gs(coeffs, p)]
         assert scaled_then == then_scaled
+
+    @given(st.sampled_from([16, 64, 128]), st.integers(17, 25),
+           st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_float_datapath_any_prime(self, n, bits, seed, extreme):
+        """The float64 lazy-reduction datapath is exact for any NTT prime
+        between 2^16 and 2^26, on random and extreme operands."""
+        from repro.ntt.naive import schoolbook_negacyclic
+        from repro.ntt.rns import RnsBasis
+
+        engine = RnsBasis.generate(n, 1, bits=bits).engine(0)
+        q = engine.q
+        assert engine._dtype == np.float64
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, q, (2, n)).astype(np.uint64)
+        b = rng.integers(0, q, (2, n)).astype(np.uint64)
+        if extreme:
+            b[0] = q - 1
+            b[1, ::extreme] = 0
+        got = engine.multiply_many(a, b)
+        for row in range(2):
+            assert got[row].tolist() == schoolbook_negacyclic(
+                a[row].tolist(), b[row].tolist(), q)
+        assert np.array_equal(engine.inverse_many(engine.forward_many(a)), a)

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.ntt.batch import ct_forward_float, gs_inverse_float, modmul_float
 from repro.ntt.bitrev import bitrev_permute
 from repro.ntt.naive import schoolbook_negacyclic
 from repro.ntt.params import params_for_degree
-from repro.ntt.transform import ntt_gs
-from repro.ntt.variants import (
-    intt_dit,
-    intt_dit_np,
-    negacyclic_multiply_no_bitrev,
-    ntt_dif,
-    ntt_dif_np,
-)
+from repro.ntt.rns import RnsBasis
+from repro.ntt.transform import NttEngine, ntt_gs
+from repro.ntt.variants import intt_dit, negacyclic_multiply_no_bitrev, ntt_dif
 
 
 class TestDifForward:
@@ -69,19 +65,53 @@ class TestNoBitrevMultiply:
                 == negacyclic_multiply(a, b, p))
 
 
+def float_engine(n):
+    """An engine on the float64 datapath: the paper's q = 786433 from
+    n = 2048 up, a 20-bit NTT prime below that."""
+    if n >= 2048:
+        return NttEngine.for_degree(n)
+    return RnsBasis.generate(n, 1, bits=20).engine(0)
+
+
 class TestNumpyVariants:
+    """The numpy DIF/DIT-order kernels are the float64 production kernels:
+    natural in, bit-reversed between the transforms, natural out."""
+
+    @staticmethod
+    def forward(eng, values):
+        block = np.asfortranarray(np.asarray(values, dtype=np.float64)[None])
+        ct_forward_float(block, *eng._cyclic, eng._schedule)
+        return eng._finish_float(block, np.empty_like(block))[0]
+
+    @staticmethod
+    def inverse(eng, values):
+        block = np.asfortranarray(np.asarray(values, dtype=np.float64)[None])
+        gs_inverse_float(block, *eng._cyclic_inv, eng._schedule)
+        q = float(eng.q)
+        modmul_float(block, *eng._n_inv, q, block, np.empty_like(block))
+        return np.where(block < 0, block + q, block)[0].astype(np.uint64)
+
     @pytest.mark.parametrize("n", [16, 512, 4096])
     def test_dif_np_matches_python(self, n, rng):
-        p = params_for_degree(n)
+        eng = float_engine(n)
+        p = eng.params
         a = rng.integers(0, p.q, n)
-        if n <= 512:
-            assert ntt_dif_np(a, p).tolist() == ntt_dif(a.tolist(), p)
-        back = intt_dit_np(ntt_dif_np(a, p), p)
-        assert np.array_equal(back, a.astype(np.uint64))
+        spectrum = self.forward(eng, a)
+        assert spectrum.tolist() == ntt_dif(a.tolist(), p)
+        assert np.array_equal(self.inverse(eng, spectrum), a.astype(np.uint64))
+
+    @pytest.mark.parametrize("n", [16, 512, 4096])
+    def test_dit_np_matches_python(self, n, rng):
+        eng = float_engine(n)
+        p = eng.params
+        spectrum = ntt_dif(rng.integers(0, p.q, n).tolist(), p)
+        assert self.inverse(eng, spectrum).tolist() == intt_dit(spectrum, p)
 
     def test_shape_check(self):
-        p = params_for_degree(16)
+        eng = float_engine(16)
         with pytest.raises(ValueError):
-            ntt_dif_np(np.zeros(8, dtype=np.uint64), p)
+            ct_forward_float(np.zeros(16), *eng._cyclic, eng._schedule)
         with pytest.raises(ValueError):
-            intt_dit_np(np.zeros(8, dtype=np.uint64), p)
+            eng.forward_many(np.zeros((1, 8), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            eng.inverse_many(np.zeros((1, 32), dtype=np.uint64))
