@@ -16,6 +16,7 @@ be *dynamically* arranged:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 from ..core.config import PipelineVariant
@@ -66,30 +67,10 @@ class CryptoPimChip:
 
         For ``n`` over the native maximum the inputs are cut into 32k
         segments processed iteratively on the same hardware (the plan is
-        sized for the segment degree).
+        sized for the segment degree).  Built once per ``(total_banks,
+        variant, n)``: dispatch and routing ask on every batch.
         """
-        if n < 4 or n & (n - 1):
-            raise ValueError(f"degree must be a power of two >= 4, got {n}")
-        segments = max(1, ceil(n / MAX_NATIVE_DEGREE))
-        effective_n = min(n, MAX_NATIVE_DEGREE)
-        plan = plan_bank(effective_n, self.variant)
-        per_superbank = plan.banks_per_multiplication
-        superbanks = self.total_banks // per_superbank
-        if superbanks == 0:
-            raise ValueError(
-                f"degree {n} needs {per_superbank} banks per multiplication "
-                f"but the chip only has {self.total_banks}"
-            )
-        used = superbanks * per_superbank
-        return ChipConfiguration(
-            n=n,
-            bank_plan=plan,
-            superbanks=superbanks,
-            parallel_multiplications=superbanks,
-            segments_per_polynomial=segments,
-            banks_used=used,
-            banks_idle=self.total_banks - used,
-        )
+        return _configure(self.total_banks, self.variant, n)
 
     def aggregate_throughput(self, n: int, per_pipeline_throughput: float) -> float:
         """Chip-level multiplications/s: pipelines run in every superbank.
@@ -116,3 +97,29 @@ class CryptoPimChip:
 
     def __repr__(self) -> str:
         return f"CryptoPimChip(total_banks={self.total_banks}, {self.variant.value})"
+
+
+@lru_cache(maxsize=256)
+def _configure(total_banks: int, variant: PipelineVariant,
+               n: int) -> ChipConfiguration:
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"degree must be a power of two >= 4, got {n}")
+    segments = max(1, ceil(n / MAX_NATIVE_DEGREE))
+    plan = plan_bank(min(n, MAX_NATIVE_DEGREE), variant)
+    per_superbank = plan.banks_per_multiplication
+    superbanks = total_banks // per_superbank
+    if superbanks == 0:
+        raise ValueError(
+            f"degree {n} needs {per_superbank} banks per multiplication "
+            f"but the chip only has {total_banks}"
+        )
+    used = superbanks * per_superbank
+    return ChipConfiguration(
+        n=n,
+        bank_plan=plan,
+        superbanks=superbanks,
+        parallel_multiplications=superbanks,
+        segments_per_polynomial=segments,
+        banks_used=used,
+        banks_idle=total_banks - used,
+    )

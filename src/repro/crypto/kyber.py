@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ntt.params import NttParams, params_for_degree
-from ..ntt.polynomial import MultiplierBackend, Polynomial
-from .sampling import cbd_poly, uniform_poly
+from ..ntt.polynomial import (MultiplierBackend, Polynomial, centered_block,
+                              multiply_rows)
+from ..ntt.transform import NttEngine
 
 __all__ = ["KyberPke", "KyberPublicKey", "KyberSecretKey", "KyberCiphertext",
            "KyberKem"]
@@ -34,10 +36,23 @@ class KyberPublicKey:
     seed_matrix: List[List[Polynomial]]  # the public matrix A (k x k)
     t: List[Polynomial]                  # t = A s + e
 
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The ``(k^2 + k, n)`` left operand of every encryption: the rows
+        of ``A^T`` (``A[j][i]`` at row ``i*k + j``) followed by ``t``."""
+        k = len(self.t)
+        rows = [self.seed_matrix[j][i] for i in range(k) for j in range(k)]
+        return np.stack([p.coeffs for p in rows + list(self.t)])
+
 
 @dataclass(frozen=True)
 class KyberSecretKey:
     s: List[Polynomial]
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """``s`` as a ``(k, n)`` block, the left operand of decryption."""
+        return np.stack([p.coeffs for p in self.s])
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,10 @@ class KyberCiphertext:
 
 class KyberPke:
     """Kyber-lite CPA-PKE with module rank ``k`` (Kyber512 uses k=2).
+
+    Keys and ciphertexts hold :class:`Polynomial` objects, but the scheme
+    itself runs on ``(count, k, n)`` residue blocks: one noise draw and
+    one block multiply per batch of messages, whatever its size.
 
     Args:
         k: module rank.
@@ -61,82 +80,63 @@ class KyberPke:
                  rng: Optional[np.random.Generator] = None):
         if k < 1:
             raise ValueError("module rank k must be >= 1")
+        if eta < 1:
+            raise ValueError("eta must be >= 1")
         self.k = k
         self.eta = eta
         self.params: NttParams = params_for_degree(256)
         self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng()
-        self._half_q = self.params.q // 2
 
-    def _attach(self, poly: Polynomial) -> Polynomial:
-        return poly.with_backend(self.backend) if self.backend else poly
+    def _noise(self, count: int, polys: int) -> np.ndarray:
+        """``(count, polys, n)`` CBD_eta residues from one generator call.
 
-    def _noise_vec(self) -> List[Polynomial]:
-        return [self._attach(cbd_poly(self.params, self.rng, self.eta))
-                for _ in range(self.k)]
+        The draw consumes the generator exactly as ``count * polys``
+        successive :func:`~repro.crypto.sampling.cbd_poly` calls would
+        (coins ``a`` then ``b`` per polynomial), so batches reproduce
+        sequential sampling bit for bit.  ``int32`` coins take one 32-bit
+        draw each, like the default ``int64``, at half the memory.
+        """
+        coins = self.rng.integers(
+            0, 2, (count, polys, 2, self.params.n, self.eta), dtype=np.int32)
+        # add the eta coin planes one by one: a reduce over the short
+        # trailing axis costs several times more
+        ones = coins[..., 0]
+        for i in range(1, self.eta):
+            ones = ones + coins[..., i]
+        return ((ones[:, :, 0] - ones[:, :, 1]) % self.params.q).astype(
+            np.uint64)
 
-    def _zero(self) -> Polynomial:
-        return self._attach(Polynomial.zero(self.params))
+    def _products(self, key: np.ndarray, operands: np.ndarray) -> np.ndarray:
+        """Products of a ``(rows, n)`` key block with each ``(rows, n)``
+        slice of a ``(count, rows, n)`` block, in one backend call."""
+        count, rows, n = operands.shape
+        left = np.broadcast_to(key, operands.shape).reshape(-1, n)
+        backend = self.backend or NttEngine.shared(self.params)
+        products = multiply_rows(backend, left, operands.reshape(-1, n))
+        return products.reshape(count, rows, n)
 
-    def _dot(self, left: List[Polynomial], right: List[Polynomial]) -> Polynomial:
-        acc = self._zero()
-        for p in Polynomial.multiply_pairs(list(zip(left, right))):
-            acc = acc + p
-        return acc
-
-    def _matvec(self, rows: List[List[Polynomial]],
-                vec: List[Polynomial]) -> List[Polynomial]:
-        """All ``k^2`` ring products of a matrix-vector product in one
-        batched kernel call - the workload shape the configurable
-        architecture runs across parallel superbanks."""
-        k = len(vec)
-        pairs = [(row[j], vec[j]) for row in rows for j in range(k)]
-        products = Polynomial.multiply_pairs(pairs)
-        out = []
-        for i in range(len(rows)):
-            acc = self._zero()
-            for j in range(k):
-                acc = acc + products[i * k + j]
-            out.append(acc)
-        return out
+    def _polys(self, block: np.ndarray) -> List[Polynomial]:
+        return [Polynomial(row, self.params, self.backend) for row in block]
 
     # -- the scheme ---------------------------------------------------------
 
     def keygen(self) -> tuple[KyberPublicKey, KyberSecretKey]:
-        matrix = [
-            [self._attach(uniform_poly(self.params, self.rng))
-             for _ in range(self.k)]
-            for _ in range(self.k)
-        ]
-        s = self._noise_vec()
-        e = self._noise_vec()
-        a_s = self._matvec(matrix, s)
-        t = [a_s[i] + e[i] for i in range(self.k)]
-        return KyberPublicKey(seed_matrix=matrix, t=t), KyberSecretKey(s=s)
+        k, n, q = self.k, self.params.n, self.params.q
+        matrix = self.rng.integers(0, q, (k, k, n), dtype=np.int64)
+        s, e = np.split(self._noise(1, 2 * k)[0], 2)
+        a_s = self._products(s, matrix.astype(np.uint64)).sum(axis=1)
+        t = (a_s + e) % q
+        pk = KyberPublicKey(seed_matrix=[self._polys(row) for row in matrix],
+                            t=self._polys(t))
+        return pk, KyberSecretKey(s=self._polys(s))
 
     def encrypt(self, pk: KyberPublicKey, message_bits: np.ndarray) -> KyberCiphertext:
-        """Encrypt 256 message bits."""
-        bits = np.asarray(message_bits)
-        if bits.shape != (self.params.n,):
-            raise ValueError(f"message must be {self.params.n} bits")
-        r = self._noise_vec()
-        e1 = self._noise_vec()
-        e2 = self._attach(cbd_poly(self.params, self.rng, self.eta))
-        # u = A^T r + e1, all k^2 products in one batched call
-        transpose = [[pk.seed_matrix[j][i] for j in range(self.k)]
-                     for i in range(self.k)]
-        at_r = self._matvec(transpose, r)
-        u = [at_r[i] + e1[i] for i in range(self.k)]
-        encoded = self._attach(
-            Polynomial(bits.astype(np.int64) * self._half_q, self.params)
-        )
-        v = self._dot(pk.t, r) + e2 + encoded
-        return KyberCiphertext(u=u, v=v)
+        """Encrypt 256 message bits: a batch of one."""
+        return self.encrypt_many(pk, np.asarray(message_bits)[None])[0]
 
     def decrypt(self, sk: KyberSecretKey, ct: KyberCiphertext) -> np.ndarray:
-        noisy = ct.v - self._dot(sk.s, ct.u)
-        centered = noisy.centered_coeffs()
-        return (np.abs(centered) > self.params.q // 4).astype(np.int64)
+        return self.decrypt_many(sk, [ct])[0]
 
     def multiplications_per_encrypt(self) -> int:
         """Ring products one encryption performs: ``k^2`` for ``A^T r``
@@ -150,62 +150,42 @@ class KyberPke:
         """Encrypt a ``(count, n)`` block of message bits in one batch.
 
         All ``count * (k^2 + k)`` ring products - every encryption's
-        ``A^T r`` and ``t . r`` - go through a *single*
-        :meth:`Polynomial.multiply_pairs` call, which is the shape a
-        serving batch window hands the accelerator: one kernel dispatch
-        per window, not per client.  Noise is drawn per message in
-        submission order, so results match ``encrypt`` called in sequence
-        with the same generator.
+        ``A^T r`` and ``t . r`` - go through a *single* backend call,
+        which is the shape a serving batch window hands the accelerator:
+        one kernel dispatch per window, not per client.  Noise ``r, e1,
+        e2`` is drawn per message in submission order, so results match
+        ``encrypt`` called in sequence with the same generator.
         """
         block = np.asarray(messages)
         if block.ndim != 2 or block.shape[1] != self.params.n:
             raise ValueError(
                 f"messages must be (count, {self.params.n}) bits")
-        count, k = block.shape[0], self.k
-        transpose = [[pk.seed_matrix[j][i] for j in range(k)]
-                     for i in range(k)]
-        noises = []  # (r, e1, e2) per message, drawn in submission order
-        pairs = []
-        for _ in range(count):
-            r = self._noise_vec()
-            e1 = self._noise_vec()
-            e2 = self._attach(cbd_poly(self.params, self.rng, self.eta))
-            noises.append((r, e1, e2))
-            pairs.extend((transpose[i][j], r[j])
-                         for i in range(k) for j in range(k))
-            pairs.extend((pk.t[i], r[i]) for i in range(k))
-        products = iter(Polynomial.multiply_pairs(pairs))
-        out = []
-        for m in range(count):
-            r, e1, e2 = noises[m]
-            u = []
-            for i in range(k):
-                acc = self._zero()
-                for _ in range(k):
-                    acc = acc + next(products)
-                u.append(acc + e1[i])
-            v = self._zero()
-            for _ in range(k):
-                v = v + next(products)
-            encoded = self._attach(Polynomial(
-                block[m].astype(np.int64) * self._half_q, self.params))
-            out.append(KyberCiphertext(u=u, v=v + e2 + encoded))
-        return out
+        (count, n), k, q = block.shape, self.k, self.params.q
+        noise = self._noise(count, 2 * k + 1)
+        r, e1, e2 = noise[:, :k], noise[:, k:2 * k], noise[:, 2 * k]
+        # operand rows pair with pk.block: r_j for A^T[i][j], then r_i for t_i
+        idx = [j for _ in range(k) for j in range(k)] + list(range(k))
+        products = self._products(pk.block, r[:, idx])
+        u = products[:, :k * k].reshape(count, k, k, n).sum(axis=2)
+        u = (u + e1) % q
+        v = products[:, k * k:].sum(axis=1) + e2
+        v = (v + block.astype(np.uint64) * np.uint64(q // 2)) % q
+        return [KyberCiphertext(u=self._polys(u[m]),
+                                v=Polynomial(v[m], self.params, self.backend))
+                for m in range(count)]
 
     def decrypt_many(self, sk: KyberSecretKey,
-                     cts: List[KyberCiphertext]) -> List[np.ndarray]:
+                     cts: Sequence[KyberCiphertext]) -> List[np.ndarray]:
         """Decrypt many ciphertexts; all ``count * k`` products batched."""
-        k = self.k
-        pairs = [(sk.s[i], ct.u[i]) for ct in cts for i in range(k)]
-        products = iter(Polynomial.multiply_pairs(pairs))
-        out = []
-        for ct in cts:
-            acc = self._zero()
-            for _ in range(k):
-                acc = acc + next(products)
-            centered = (ct.v - acc).centered_coeffs()
-            out.append((np.abs(centered) > self.params.q // 4).astype(np.int64))
-        return out
+        if not cts:
+            return []
+        q = self.params.q
+        u = np.stack([[p.coeffs for p in ct.u] for ct in cts])
+        v = np.stack([ct.v.coeffs for ct in cts])
+        s_u = self._products(sk.block, u).sum(axis=1) % q
+        noisy = (v + np.uint64(q) - s_u) % q
+        return list((np.abs(centered_block(noisy, q)) > q // 4)
+                    .astype(np.int64))
 
 
 class KyberKem:
@@ -232,8 +212,7 @@ class KyberKem:
         return self.pke.keygen()
 
     def encapsulate(self, pk: KyberPublicKey) -> Tuple[KyberCiphertext, bytes]:
-        ct, key = self.encapsulate_many(pk, 1)[0]
-        return ct, key
+        return self.encapsulate_many(pk, 1)[0]
 
     def encapsulate_many(
             self, pk: KyberPublicKey,

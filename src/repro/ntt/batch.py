@@ -11,12 +11,11 @@ set of numpy stage operations processes a whole ``(batch, n)`` block.
 The datapath is chosen by the width of the modulus alone:
 
 ========================  =================================================
-``q < 2^16``              :func:`gs_kernel_batch` on ``uint32`` (the
-                          paper's 16-bit datapath, n <= 1024): bit-reversed
-                          input, ``%`` butterflies, separate phi twists
-``2^16 <= q < 2^26``      :func:`ct_forward_float` / :func:`gs_inverse_float`
+``q < 2^26``              :func:`ct_forward_float` / :func:`gs_inverse_float`
                           on signed ``float64`` with lazy reduction: phi
-                          folded into the twiddles, no row gathers
+                          folded into the twiddles, no row gathers.  This
+                          covers every paper modulus (7681, 12289, 786433)
+                          and 24-bit RNS primes.
 ``2^26 <= q < 2^31``      :func:`gs_kernel_batch` on ``uint64`` with exact
                           ``%`` butterflies
 ========================  =================================================
@@ -26,7 +25,7 @@ Pieces:
 * :func:`stage_plan` - an ``lru_cache``-d per-degree **stage plan**: the
   bit-reversal gather plus every butterfly stage's reshape geometry
   ``(groups, distance)``, built once per degree.
-* :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D unsigned
+* :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D ``uint64``
   block, in place; each row is one polynomial in bit-reversed order on
   entry and natural order on exit.
 * :func:`float_schedule` - the static per-``(n, q)`` reduction schedule of
@@ -75,7 +74,6 @@ __all__ = [
     "StageHook",
     "KERNEL_MAX_Q_BITS",
     "FLOAT_MAX_Q",
-    "UINT32_MAX_Q",
 ]
 
 #: profiling callback fired once per butterfly stage with
@@ -97,15 +95,10 @@ def set_stage_hook(hook: Optional[StageHook]) -> Optional[StageHook]:
     _STAGE_HOOK = hook
     return previous
 
-#: moduli below 2^16 run the whole datapath in uint32 (q^2 < 2^32, so no
-#: product overflows) - numpy's 32-bit integer ops are SIMD-vectorised and
-#: roughly 3x faster than 64-bit on the same element count, mirroring the
-#: paper's 16-bit datapath for n <= 1024
-UINT32_MAX_Q = 1 << 16
-#: moduli from 2^16 up to (not including) this bound run on the float64
-#: lazy-reduction datapath: the paper's q = 786433 and 24-bit RNS primes.
-#: A twiddle product of two unreduced-but-bounded residues must stay below
-#: 2^52, which leaves no headroom for lazy sums once q reaches 2^26.
+#: moduli below this bound run on the float64 lazy-reduction datapath:
+#: every paper modulus and 24-bit RNS primes.  A twiddle product of two
+#: unreduced-but-bounded residues must stay below 2^52, which leaves no
+#: headroom for lazy sums once q reaches 2^26.
 FLOAT_MAX_Q = 1 << 26
 #: widest modulus any numpy kernel datapath accepts.  The ``%`` path
 #: multiplies the *biased* butterfly difference ``t + q - bot < 2q`` by a
@@ -133,12 +126,8 @@ def check_kernel_modulus(q: int) -> int:
 
 
 def kernel_dtype(q: int) -> np.dtype:
-    """The kernel datapath dtype for ``q``: uint32, float64 or uint64."""
-    if q < UINT32_MAX_Q:
-        return np.dtype(np.uint32)
-    if q < FLOAT_MAX_Q:
-        return np.dtype(np.float64)
-    return np.dtype(np.uint64)
+    """The kernel datapath dtype for ``q``: float64 or uint64."""
+    return np.dtype(np.float64 if q < FLOAT_MAX_Q else np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +201,9 @@ def gs_kernel_batch(
     place.
 
     Rows enter in bit-reversed order and leave holding the transform in
-    natural order.  The integer datapaths (``uint32`` for ``q < 2^16``,
-    ``uint64`` for wider moduli) reduce every butterfly with ``%``.
+    natural order.  This is the exact ``uint64`` datapath of moduli
+    ``q >= 2^26`` and of the single-polynomial ``*_np`` functions: every
+    butterfly reduces with ``%``.
     """
     check_kernel_modulus(q)
     cols, plan = _columns(values, plan)
@@ -237,7 +227,7 @@ def gs_kernel_batch(
 
 
 # ---------------------------------------------------------------------------
-# float64 lazy-reduction datapath (2^16 <= q < 2^26)
+# float64 lazy-reduction datapath (q < 2^26)
 # ---------------------------------------------------------------------------
 
 def modmul_float(x: np.ndarray, w, w_over_q, q: float,
@@ -251,11 +241,11 @@ def modmul_float(x: np.ndarray, w, w_over_q, q: float,
     * ``x*w`` is an integer below 2^53, so its float product is exact;
     * ``fl(x * fl(w/q))`` differs from the real ``x*w/q`` by at most
       ``|x*w/q| * 2^-52 * (1 + 2^-53) <= (1 + 2^-52)/q``, so with
-      ``k = rint(...)``, ``|k - x*w/q| <= 1/2 + 1.01/q < 1``;
-    * hence ``|k*q| <= |x*w| + q < 2^53`` is exact too, and the difference
-      ``r = x*w - k*q = q * (x*w/q - k)`` is an exactly representable
-      integer with ``|r| < q`` - in fact ``|r| <= q//2 + 1`` for odd
-      ``q >= 2^16``.
+      ``k = rint(...)``, ``|k - x*w/q| <= 1/2 + 1.01/q``;
+    * hence ``|k*q| <= |x*w| + q/2 + 1.01 < 2^53`` is exact too, and the
+      difference ``r = x*w - k*q = q * (x*w/q - k)`` is an exactly
+      representable integer with ``|r| <= q/2 + 1.01``, that is
+      ``|r| <= q//2 + 1``.
 
     ``r == x*w (mod q)`` exactly.  ``scratch`` must not alias ``x``;
     ``out`` may.
@@ -307,9 +297,9 @@ def float_schedule(n: int, q: int) -> FloatSchedule:
     Raises ``ValueError`` if ``q`` is outside the float datapath or any
     product of the schedule could reach 2^52.
     """
-    if not UINT32_MAX_Q <= q < FLOAT_MAX_Q:
+    if not 2 <= q < FLOAT_MAX_Q:
         raise ValueError(
-            f"the float64 datapath serves 2^16 <= q < 2^26, got q = {q}")
+            f"the float64 datapath serves 2 <= q < 2^26, got q = {q}")
     log_n = stage_plan(n).log_n
     tw = q // 2          # centered twiddle magnitude
     red = q // 2 + 1     # product / reduction output magnitude

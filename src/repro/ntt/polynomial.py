@@ -12,11 +12,10 @@ from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .modmath import centered
 from .params import NttParams, params_for_degree
 from .transform import NttEngine
 
-__all__ = ["MultiplierBackend", "Polynomial"]
+__all__ = ["MultiplierBackend", "Polynomial", "multiply_rows", "centered_block"]
 
 
 class MultiplierBackend(Protocol):
@@ -24,6 +23,26 @@ class MultiplierBackend(Protocol):
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:  # pragma: no cover
         ...
+
+
+def multiply_rows(backend: MultiplierBackend, a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two ``(rows, n)`` blocks as one ``uint64`` block:
+    one ``multiply_many`` call where the backend has it (:class:`NttEngine`),
+    else per-row ``multiply`` (CryptoPIM, the segmented and dataflow
+    models).  Bit-identical either way."""
+    many = getattr(backend, "multiply_many", None)
+    if many is not None:
+        return np.asarray(many(a, b), dtype=np.uint64)
+    return np.array([backend.multiply(x, y) for x, y in zip(a, b)],
+                    dtype=np.uint64).reshape(np.shape(a))
+
+
+def centered_block(residues: np.ndarray, q: int) -> np.ndarray:
+    """Residues in ``[0, q)`` mapped to ``(-q/2, q/2]`` as ``int64``, the
+    convention of :func:`repro.ntt.modmath.centered`, for any shape."""
+    x = np.asarray(residues).astype(np.int64)
+    return np.where(x > q // 2, x - q, x)
 
 
 class Polynomial:
@@ -79,12 +98,8 @@ class Polynomial:
         """Multiply many same-ring polynomial pairs in one batched call.
 
         All operands must live in the same ring; the first operand's
-        backend performs the whole batch.  Backends exposing
-        ``multiply_many`` (the software :class:`NttEngine`, the CryptoPIM
-        accelerator) get one ``(batch, n)`` kernel invocation; any other
-        :class:`MultiplierBackend` falls back to per-pair products.
-        Results are bit-identical to ``[x * y for x, y in pairs]`` either
-        way.
+        backend performs the whole batch through :func:`multiply_rows`.
+        Results are bit-identical to ``[x * y for x, y in pairs]``.
         """
         pairs = list(pairs)
         if not pairs:
@@ -93,13 +108,9 @@ class Polynomial:
         for x, y in pairs:
             x._check_compatible(y)
             first._check_compatible(x)
-        backend = first.backend()
-        many = getattr(backend, "multiply_many", None)
-        if many is None:
-            return [x * y for x, y in pairs]
-        a_block = np.stack([x.coeffs for x, _ in pairs])
-        b_block = np.stack([y.coeffs for _, y in pairs])
-        products = np.asarray(many(a_block, b_block), dtype=np.uint64)
+        products = multiply_rows(first.backend(),
+                                 np.stack([x.coeffs for x, _ in pairs]),
+                                 np.stack([y.coeffs for _, y in pairs]))
         return [Polynomial(row, first.params, first._backend) for row in products]
 
     # -- helpers ---------------------------------------------------------------
@@ -114,7 +125,7 @@ class Polynomial:
 
     def backend(self) -> MultiplierBackend:
         if self._backend is None:
-            self._backend = NttEngine(self.params)
+            self._backend = NttEngine.shared(self.params)
         return self._backend
 
     def with_backend(self, backend: MultiplierBackend) -> "Polynomial":
@@ -174,7 +185,7 @@ class Polynomial:
 
     def centered_coeffs(self) -> np.ndarray:
         """Coefficients mapped to the symmetric interval ``(-q/2, q/2]``."""
-        return np.asarray([centered(int(c), self.q) for c in self.coeffs], dtype=np.int64)
+        return centered_block(self.coeffs, self.q)
 
     def infinity_norm(self) -> int:
         """Max absolute centered coefficient - the noise magnitude measure."""

@@ -20,12 +20,13 @@ Implementations with identical results:
 * :class:`NttEngine` - the production batched engine used by the PIM
   simulator's functional mode, the crypto layer and the CPU baseline.
   Its datapath follows the width of ``q`` (:mod:`repro.ntt.batch`); for
-  ``2^16 <= q < 2^26`` it folds the ``phi`` twist into the twiddles and
-  never gathers a row.
+  every ``q < 2^26`` - all the paper's moduli - it folds the ``phi``
+  twist into the twiddles and never gathers a row.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -206,10 +207,9 @@ class NttEngine:
     Single-pair calls are batches of one.
 
     The datapath follows the width of ``q`` (see :mod:`repro.ntt.batch`):
-    ``uint32`` Gentleman-Sande for ``q < 2^16``, the gather-free float64
-    pair for ``2^16 <= q < 2^26``, exact ``%`` on ``uint64`` above.  Every
-    datapath returns canonical residues in ``[0, q)``, bit-identical to the
-    pure-Python oracle.
+    the gather-free float64 pair for ``q < 2^26``, exact ``%`` on
+    ``uint64`` above.  Both return canonical residues in ``[0, q)``,
+    bit-identical to the pure-Python oracle.
     """
 
     def __init__(self, params: NttParams):
@@ -243,6 +243,13 @@ class NttEngine:
     @classmethod
     def for_degree(cls, n: int) -> "NttEngine":
         return cls(params_for_degree(n))
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def shared(params: NttParams) -> "NttEngine":
+        """One engine per parameter set (it holds only read-only tables),
+        however many polynomials multiply in that ring."""
+        return NttEngine(params)
 
     @property
     def n(self) -> int:
@@ -317,8 +324,8 @@ class NttEngine:
         of roughly one transform's worth of numpy dispatch for the whole
         batch.  On the float datapath the phi twists live in the twiddles
         and the pointwise product runs in bit-reversed order, so nothing is
-        gathered; the integer datapaths bit-reverse rows and scale by the
-        fused ``n^-1 * phi^-i`` column the PIM itself stores.
+        gathered; the ``uint64`` datapath bit-reverses rows and scales by
+        the fused ``n^-1 * phi^-i`` column the PIM itself stores.
         """
         q = self.q
         a2 = self._as_batch(a)

@@ -14,7 +14,8 @@ production cardinalities.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class LatencyHistogram:
 
     Samples are kept verbatim up to a reservoir cap, then down-sampled by
     random replacement so long overload runs cannot grow memory without
-    bound while the quantile estimates stay unbiased.
+    bound while the quantile estimates stay unbiased.  A packed
+    ``array('d')`` holds them at 8 bytes a sample (a list takes 32).
     """
 
     def __init__(self, name: str, unit: str = "s"):
@@ -72,7 +74,7 @@ class LatencyHistogram:
         self.count = 0
         self._sum = 0.0
         self._max = 0.0
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._rng = np.random.default_rng(0xC0FFEE)
 
     def record(self, value: float) -> None:

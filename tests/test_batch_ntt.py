@@ -7,7 +7,6 @@ from repro.arch.chip import CryptoPimChip
 from repro.core.accelerator import CryptoPIM
 from repro.ntt.batch import (
     FLOAT_MAX_Q,
-    UINT32_MAX_Q,
     bitrev_gather_rows,
     gs_kernel_batch,
     kernel_dtype,
@@ -63,14 +62,14 @@ class TestKernelPaths:
 
     def test_noncontiguous_block_rejected(self, rng):
         params = params_for_degree(64)
-        eng = NttEngine(params)
-        rows = rng.integers(0, params.q, (3, 64)).astype(np.uint32)
+        tw = np.asarray(params.forward_twiddles_bitrev(), dtype=np.uint64)
+        rows = rng.integers(0, params.q, (3, 64)).astype(np.uint64)
         with pytest.raises(ValueError, match="column-major"):
-            gs_kernel_batch(rows, eng._fwd_tw, params.q)
+            gs_kernel_batch(rows, tw, params.q)
         with pytest.raises(ValueError, match="column-major"):
             gs_kernel_batch(np.asfortranarray(rng.integers(
-                0, params.q, (3, 128)).astype(np.uint32))[:, ::2],
-                eng._fwd_tw, params.q)
+                0, params.q, (3, 128)).astype(np.uint64))[:, ::2],
+                tw, params.q)
 
     def test_gather_yields_column_major(self, rng):
         plan = stage_plan(64)
@@ -80,11 +79,10 @@ class TestKernelPaths:
         assert np.array_equal(block, rows[:, plan.bitrev])
 
     def test_kernel_dtype_tiers(self):
-        assert kernel_dtype(7681) == np.uint32
-        assert kernel_dtype(12289) == np.uint32
+        assert kernel_dtype(7681) == np.float64
+        assert kernel_dtype(12289) == np.float64
         assert kernel_dtype(786433) == np.float64
-        assert kernel_dtype(UINT32_MAX_Q - 1) == np.uint32
-        assert kernel_dtype(UINT32_MAX_Q) == np.float64
+        assert kernel_dtype(3) == np.float64
         assert kernel_dtype(FLOAT_MAX_Q - 1) == np.float64
         assert kernel_dtype(FLOAT_MAX_Q) == np.uint64
 
@@ -182,9 +180,11 @@ class TestAcceleratorBatch:
     def test_empty_kernel_batch_is_noop(self):
         empty = np.empty((0, 256), dtype=np.uint64)
         eng = NttEngine.for_degree(256)
-        out = gs_kernel_batch(empty, eng._fwd_tw.astype(np.uint64), eng.q)
+        tw = np.asarray(eng.params.forward_twiddles_bitrev(), dtype=np.uint64)
+        out = gs_kernel_batch(empty, tw, eng.q)
         assert out.shape == (0, 256)
         assert eng.multiply_many(empty, empty).shape == (0, 256)
+        assert eng.inverse_many(empty).shape == (0, 256)
         big = NttEngine.for_degree(2048)
         empty = np.empty((0, 2048), dtype=np.uint64)
         assert big.multiply_many(empty, empty).shape == (0, 2048)

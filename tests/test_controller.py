@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.arch import bank, chip
 from repro.arch.chip import MAX_NATIVE_DEGREE, CryptoPimChip
 from repro.core.accelerator import CryptoPIM
 from repro.core.controller import (
@@ -165,6 +166,26 @@ class TestPricedOnce:
         priced_blocks = {id(b) for b in timeline_model.blocks + acc.model.blocks}
         assert set(priced) == priced_blocks
         assert set(priced.values()) == {1}
+
+    def test_chip_configured_once_per_degree(self, monkeypatch):
+        """Dispatches and routing estimates read one stored chip
+        arrangement per degree instead of re-planning the banks."""
+        built = Counter()
+        build = bank.build_blocks
+
+        def counting(n, variant):
+            built[n] += 1
+            return build(n, variant)
+
+        monkeypatch.setattr(bank, "build_blocks", counting)
+        chip._configure.cache_clear()
+        timeline = ChipTimeline()
+        for i in range(100):
+            n = (256, 1024)[i % 2]
+            timeline.dispatch(n, 3)
+            timeline.span_estimate(n)
+        assert built == {256: 1, 1024: 1}
+        assert timeline.chip.configure(256) is CryptoPimChip().configure(256)
 
     def test_policy_cannot_be_reassigned(self):
         model = PipelineModel.for_degree(256)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.accelerator import CryptoPIM
 from repro.crypto.bgv import BgvScheme
-from repro.crypto.kyber import KyberPke
+from repro.crypto.kyber import KyberKem, KyberPke
 from repro.crypto.newhope import KEY_BITS, NewHopeKem
 from repro.crypto.rlwe import RlweScheme
+from repro.crypto.sampling import cbd_poly, uniform_poly
 from repro.ntt.naive import schoolbook_negacyclic
+from repro.ntt.polynomial import Polynomial
 
 
 def _rng(seed=0):
@@ -120,6 +123,110 @@ class TestKyber:
         pk, _ = pke.keygen()
         with pytest.raises(ValueError):
             pke.encrypt(pk, np.zeros(128, dtype=np.int64))
+
+
+def _same_ciphertext(x, y):
+    return x.u == y.u and x.v == y.v
+
+
+class TestKyberBatch:
+    """Batched Kyber traffic is bit-identical to the per-message API,
+    on the batched software engine and on a backend with only
+    ``multiply`` (the accelerator's per-row fallback)."""
+
+    @pytest.fixture(params=["engine", "cryptopim"])
+    def backend(self, request):
+        return CryptoPIM.for_degree(256) if request.param == "cryptopim" else None
+
+    @pytest.mark.parametrize("count", [1, 13, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_encapsulate_many_matches_sequential(self, k, count, backend):
+        """``encapsulate_many`` draws the ``count`` messages, then encrypts
+        them in order: the same as that draw followed by ``count``
+        sequential ``encrypt`` calls from the same generator state."""
+        kem = KyberKem(k=k, backend=backend, rng=_rng(50 + k))
+        pk, sk = kem.keygen()
+        state = kem.pke.rng.bit_generator.state
+        batch = kem.encapsulate_many(pk, count)
+        kem.pke.rng.bit_generator.state = state
+        bits = kem.pke.rng.integers(0, 2, (count, 256))
+        for m, (ct, key) in enumerate(batch):
+            assert _same_ciphertext(ct, kem.pke.encrypt(pk, bits[m]))
+            assert key == KyberKem._kdf(bits[m])
+        keys = kem.decapsulate_many(sk, [ct for ct, _ in batch])
+        assert keys == [key for _, key in batch]
+        assert keys == [kem.decapsulate(sk, ct) for ct, _ in batch]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_encapsulate_is_batch_of_one(self, k, backend):
+        kem = KyberKem(k=k, backend=backend, rng=_rng(60 + k))
+        pk, _ = kem.keygen()
+        state = kem.pke.rng.bit_generator.state
+        single = [kem.encapsulate(pk) for _ in range(3)]
+        kem.pke.rng.bit_generator.state = state
+        batches = [kem.encapsulate_many(pk, 1)[0] for _ in range(3)]
+        for (ct, key), (ct1, key1) in zip(single, batches):
+            assert _same_ciphertext(ct, ct1) and key == key1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_encrypt_decrypt_many_match_single(self, k, backend):
+        pke = KyberPke(k=k, backend=backend, rng=_rng(70 + k))
+        pk, sk = pke.keygen()
+        messages = _rng(71).integers(0, 2, (13, 256))
+        state = pke.rng.bit_generator.state
+        many = pke.encrypt_many(pk, messages)
+        pke.rng.bit_generator.state = state
+        for message, ct in zip(messages, many):
+            assert _same_ciphertext(ct, pke.encrypt(pk, message))
+        decrypted = pke.decrypt_many(sk, many)
+        for message, ct, bits in zip(messages, many, decrypted):
+            assert np.array_equal(bits, pke.decrypt(sk, ct))
+            assert np.array_equal(bits, message)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_polynomial_reference(self, k):
+        """The residue blocks reproduce the textbook construction on
+        ring elements, with every noise polynomial a successive
+        ``cbd_poly`` draw: ``t = A s + e``, ``u = A^T r + e1`` and
+        ``v = t . r + e2 + round(q/2) m``."""
+        pke = KyberPke(k=k, rng=_rng(90 + k))
+        p, rng, eta = pke.params, pke.rng, pke.eta
+        zero = Polynomial.zero(p)
+        state = rng.bit_generator.state
+        pk, sk = pke.keygen()
+        message = _rng(91).integers(0, 2, 256)
+        ct = pke.encrypt(pk, message)
+        rng.bit_generator.state = state
+        a = [[uniform_poly(p, rng) for _ in range(k)] for _ in range(k)]
+        s = [cbd_poly(p, rng, eta) for _ in range(k)]
+        e = [cbd_poly(p, rng, eta) for _ in range(k)]
+        t = [sum((a[i][j] * s[j] for j in range(k)), zero) + e[i]
+             for i in range(k)]
+        assert pk.seed_matrix == a and pk.t == t and sk.s == s
+        r = [cbd_poly(p, rng, eta) for _ in range(k)]
+        e1 = [cbd_poly(p, rng, eta) for _ in range(k)]
+        e2 = cbd_poly(p, rng, eta)
+        u = [sum((a[j][i] * r[j] for j in range(k)), zero) + e1[i]
+             for i in range(k)]
+        v = (sum((t[i] * r[i] for i in range(k)), zero) + e2
+             + Polynomial(message * (p.q // 2), p))
+        assert ct.u == u and ct.v == v
+
+    def test_accelerator_counts_every_product(self):
+        acc = CryptoPIM.for_degree(256)
+        pke = KyberPke(k=2, backend=acc, rng=_rng(80))
+        pk, sk = pke.keygen()
+        before = acc.multiplications
+        cts = pke.encrypt_many(pk, _rng(81).integers(0, 2, (5, 256)))
+        assert acc.multiplications - before == 5 * pke.multiplications_per_encrypt()
+        pke.decrypt_many(sk, cts)
+        assert acc.multiplications - before == 5 * (6 + 2)
+
+    def test_empty_batches(self):
+        pke = KyberPke(rng=_rng(82))
+        pk, sk = pke.keygen()
+        assert pke.encrypt_many(pk, np.zeros((0, 256), dtype=np.int64)) == []
+        assert pke.decrypt_many(sk, []) == []
 
 
 class TestBgv:

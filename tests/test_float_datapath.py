@@ -1,10 +1,12 @@
-"""Bit-exactness of the float64 lazy-reduction datapath (2^16 <= q < 2^26).
+"""Bit-exactness of the float64 lazy-reduction datapath (q < 2^26).
 
 The oracles are the pure-Python kernels (``negacyclic_multiply``,
 ``ntt_gs``, ``intt_gs``) up to n = 8192 and the exact ``%`` uint64 kernel
 (``negacyclic_multiply_np``) above that.  Operands cover the magnitudes
 that stress lazy reduction: all zero, all ``q - 1``, alternating
-``0 / q - 1`` and random.
+``0 / q - 1`` and random.  The moduli span the whole datapath: Kyber's
+7681 and NewHope's 12289 at n = 4..1024, the paper's 786433, 24-bit RNS
+primes and the largest NTT prime below 2^26.
 """
 
 import numpy as np
@@ -12,12 +14,11 @@ import pytest
 
 from repro.ntt.batch import (
     FLOAT_MAX_Q,
-    UINT32_MAX_Q,
     float_schedule,
     kernel_dtype,
 )
 from repro.ntt.modmath import is_prime, nth_root_of_unity
-from repro.ntt.params import NttParams
+from repro.ntt.params import NttParams, modulus_for_degree, params_for_degree
 from repro.ntt.rns import RnsBasis
 from repro.ntt.transform import (
     NttEngine,
@@ -59,6 +60,18 @@ def largest_ntt_prime_below(bound, n):
 WIDE_N = 32768
 WIDE_Q = largest_ntt_prime_below(FLOAT_MAX_Q, WIDE_N)
 
+#: the paper's public-key moduli at every degree whose 2n-th roots they have
+SMALL_RINGS = [(n, q) for q in (7681, 12289)
+               for n in (4 << i for i in range(9)) if (q - 1) % (2 * n) == 0]
+
+
+def small_engine(n, q):
+    """The paper's parameter set where it pairs ``q`` with degree ``n``,
+    else a ring on the least primitive 2n-th root of unity."""
+    if modulus_for_degree(n) == q:
+        return NttEngine(params_for_degree(n))
+    return engine_for_prime(n, q)
+
 
 def oracle_products(eng, a, b):
     """Negacyclic products from the pure-Python kernel (n <= 8192) or the
@@ -93,12 +106,20 @@ class TestRouting:
 
     def test_schedule_refuses_moduli_outside_float_path(self):
         with pytest.raises(ValueError):
-            float_schedule(256, UINT32_MAX_Q - 1)
+            float_schedule(256, 1)
+        with pytest.raises(ValueError):
+            float_schedule(256, FLOAT_MAX_Q)
         with pytest.raises(ValueError):
             float_schedule(256, FLOAT_MAX_Q + 1)
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("n, q", SMALL_RINGS)
+    def test_small_moduli_need_no_reduction(self, n, q):
+        schedule = float_schedule(n, q)
+        assert not any(schedule.forward + schedule.inverse)
+        assert schedule.reduce_operands == (False, False)
+
     def test_paper_modulus_needs_no_forward_reduction(self):
         schedule = float_schedule(4096, 786433)
         assert not any(schedule.forward)
@@ -118,6 +139,15 @@ class TestSchedule:
 
 
 class TestMultiplyExact:
+    @pytest.mark.parametrize("kind", OPERANDS)
+    @pytest.mark.parametrize("n, q", SMALL_RINGS)
+    def test_small_moduli_against_python(self, n, q, kind, rng):
+        eng = small_engine(n, q)
+        a = operand(kind, q, 2, n, rng)
+        b = operand("random" if kind == "zero" else kind, q, 2, n, rng)
+        assert np.array_equal(eng.multiply_many(a, b),
+                              oracle_products(eng, a, b))
+
     @pytest.mark.parametrize("kind", OPERANDS)
     @pytest.mark.parametrize("n", [2048, 4096])
     def test_paper_modulus_against_python(self, n, kind, rng):
@@ -165,6 +195,20 @@ class TestMultiplyExact:
 
 
 class TestTransformsExact:
+    @pytest.mark.parametrize("kind", OPERANDS)
+    @pytest.mark.parametrize("n, q", SMALL_RINGS)
+    def test_small_moduli_forward_inverse_against_python(self, n, q, kind,
+                                                         rng):
+        eng = small_engine(n, q)
+        a = operand(kind, q, 2, n, rng)
+        forward = eng.forward_many(a)
+        inverse = eng.inverse_many(a)
+        for row in range(2):
+            coeffs = [int(v) for v in a[row]]
+            assert forward[row].tolist() == ntt_gs(coeffs, eng.params)
+            assert inverse[row].tolist() == intt_gs(coeffs, eng.params)
+        assert np.array_equal(eng.inverse_many(forward), a)
+
     @pytest.mark.parametrize("kind", OPERANDS)
     @pytest.mark.parametrize("n", [2048, 8192])
     def test_forward_inverse_against_python(self, n, kind, rng):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ntt.modmath import centered
 from repro.ntt.naive import schoolbook_negacyclic
 from repro.ntt.params import params_for_degree
 from repro.ntt.polynomial import Polynomial
+from repro.ntt.transform import NttEngine
 
 
 @pytest.fixture
@@ -104,6 +106,17 @@ class TestViews:
         centered = p.centered_coeffs()
         assert centered[0] == 1 and centered[1] == -1
 
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_centered_coeffs_match_scalar_convention(self, n):
+        p = params_for_degree(n)  # q = 7681, 12289, 786433
+        q = p.q
+        edges = [0, q // 2, q // 2 + 1, q - 1]
+        poly = Polynomial(edges + [0] * (n - 4), p)
+        got = poly.centered_coeffs()
+        assert got.dtype == np.int64
+        assert got[:4].tolist() == [centered(c, q) for c in edges]
+        assert got[:4].tolist() == [0, q // 2, q // 2 + 1 - q, -1]
+
     def test_infinity_norm(self, params):
         p = Polynomial([5, params.q - 3] + [0] * 62, params)
         assert p.infinity_norm() == 5
@@ -138,3 +151,31 @@ class TestBackend:
         a = Polynomial.zero(params)
         b = a.with_backend(object())
         assert a == b and a is not b
+
+    def test_default_engine_shared_per_params(self, params, rng):
+        a = Polynomial(rng.integers(0, params.q, 64), params)
+        b = Polynomial(rng.integers(0, params.q, 64), params)
+        assert a.backend() is b.backend()
+        assert (a * b).backend() is a.backend()
+        other = Polynomial.zero(params_for_degree(128))
+        assert other.backend() is not a.backend()
+        assert other.backend().params == params_for_degree(128)
+
+    def test_multiply_pairs_per_row_fallback(self, params, rng):
+        """A backend with only ``multiply`` gets one call per pair and the
+        same products as the batched engine."""
+        calls = []
+        engine = NttEngine(params)
+
+        class RowBackend:
+            def multiply(self, a, b):
+                calls.append(1)
+                return engine.multiply(a, b)
+
+        pairs = [(Polynomial(rng.integers(0, params.q, 64), params,
+                             RowBackend()),
+                  Polynomial(rng.integers(0, params.q, 64), params))
+                 for _ in range(3)]
+        products = Polynomial.multiply_pairs(pairs)
+        assert calls == [1, 1, 1]
+        assert products == [x.with_backend(engine) * y for x, y in pairs]
