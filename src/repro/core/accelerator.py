@@ -84,7 +84,7 @@ class CryptoPIM:
         self.fidelity = fidelity
         self.pipelined = pipelined
         self.model = PipelineModel(config)
-        self._engine = NttEngine(config.params)
+        self._engine = NttEngine.shared(config.params)
         #: the gate-level machine, built lazily on the first bit-fidelity
         #: call and reused (crossbars + constant tables survive; only the
         #: cycle meter is reset between multiplications)

@@ -92,7 +92,7 @@ class RnsBasis:
         phi = nth_root_of_unity(2 * self.n, q)
         params = NttParams(n=self.n, q=q, bitwidth=max(16, q.bit_length()),
                            w=pow(phi, 2, q), phi=phi)
-        return NttEngine(params)
+        return NttEngine.shared(params)
 
     @property
     def levels(self) -> int:

@@ -15,34 +15,49 @@ nothing measurable; install it only for profiling runs:
     with KernelProfiler() as prof:
         engine.forward_many(batch)
     print(prof.breakdown())
+
+A block that :class:`~repro.ntt.transform.NttEngine` splits across host
+cores fires the hook once per stage *per row slice*, from several threads
+at once.  Cells therefore count slices, not public calls, and their
+seconds are summed over threads: per-stage seconds stay a per-core cost
+(a butterfly costs the same however many cores share the block), while
+the wall time of the call shrinks.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["KernelProfiler"]
 
 
 class KernelProfiler:
-    """Aggregates batch-NTT stage timings; context manager installs it."""
+    """Aggregates batch-NTT stage timings; context manager installs it.
+
+    Thread-safe: sliced kernel calls report stages from pool threads, and
+    several callers may share one profiler.  Stage seconds are summed over
+    threads (see the module docstring).
+    """
 
     def __init__(self) -> None:
         # (n, stage) -> [calls, rows transformed, seconds]
         self._cells: Dict[Tuple[int, int], List[float]] = {}
         self._previous: Optional[Any] = None
         self._installed = False
+        self._lock = threading.Lock()
 
     # -- hook protocol --------------------------------------------------------
 
     def __call__(self, n: int, stage: int, batch: int,
                  seconds: float) -> None:
-        cell = self._cells.get((n, stage))
-        if cell is None:
-            cell = self._cells[(n, stage)] = [0.0, 0.0, 0.0]
-        cell[0] += 1
-        cell[1] += batch
-        cell[2] += seconds
+        with self._lock:
+            cell = self._cells.get((n, stage))
+            if cell is None:
+                cell = self._cells[(n, stage)] = [0.0, 0.0, 0.0]
+            cell[0] += 1
+            cell[1] += batch
+            cell[2] += seconds
 
     def install(self) -> "KernelProfiler":
         from ..ntt.batch import set_stage_hook
@@ -67,29 +82,32 @@ class KernelProfiler:
 
     # -- views ----------------------------------------------------------------
 
+    def _snapshot(self) -> List[Tuple[Tuple[int, int], List[float]]]:
+        """Sorted copies of the cells, safe while stages still arrive."""
+        with self._lock:
+            return sorted((key, list(cell))
+                          for key, cell in self._cells.items())
+
     @property
     def total_s(self) -> float:
-        return sum(cell[2] for cell in self._cells.values())
+        return sum(cell[2] for _, cell in self._snapshot())
 
     def stages(self, n: Optional[int] = None) -> Dict[Tuple[int, int],
                                                       Dict[str, float]]:
         """Per-(n, stage) stats, optionally filtered to one degree."""
-        out: Dict[Tuple[int, int], Dict[str, float]] = {}
-        for key in sorted(self._cells):
-            if n is not None and key[0] != n:
-                continue
-            calls, rows, seconds = self._cells[key]
-            out[key] = {"calls": calls, "rows": rows, "seconds": seconds}
-        return out
+        return {key: {"calls": calls, "rows": rows, "seconds": seconds}
+                for key, (calls, rows, seconds) in self._snapshot()
+                if n is None or key[0] == n}
 
     def breakdown(self) -> str:
         """Per-stage wall-time table (house breakdown() style)."""
-        total = self.total_s
+        cells = self._snapshot()
+        total = sum(cell[2] for _, cell in cells)
         lines = [f"kernel stage breakdown ({total * 1e3:.3f} ms total):"]
-        if not self._cells:
+        if not cells:
             lines.append("  (no stages recorded)")
             return "\n".join(lines)
-        for (n, stage), (calls, rows, seconds) in sorted(self._cells.items()):
+        for (n, stage), (calls, rows, seconds) in cells:
             share = seconds / total if total else 0.0
             lines.append(
                 f"  n={n:<5d} stage {stage:2d}  {seconds * 1e3:9.3f} ms  "
@@ -98,12 +116,12 @@ class KernelProfiler:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
+        cells = self._snapshot()
         return {
-            "total_s": self.total_s,
+            "total_s": sum(cell[2] for _, cell in cells),
             "stages": [
                 {"n": n, "stage": stage, "calls": calls,
                  "rows": rows, "seconds": seconds}
-                for (n, stage), (calls, rows, seconds)
-                in sorted(self._cells.items())
+                for (n, stage), (calls, rows, seconds) in cells
             ],
         }

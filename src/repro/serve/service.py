@@ -48,6 +48,7 @@ from ..core.accelerator import CryptoPIM
 from ..crypto.bfv import BfvScheme
 from ..crypto.bgv import BgvScheme
 from ..crypto.kyber import KyberKem
+from ..ntt.params import params_for_degree
 from ..ntt.transform import NttEngine
 from ..obs.export import export_chrome_trace, write_chrome_trace
 from ..obs.journal import TraceJournal
@@ -184,7 +185,6 @@ class CryptoPimService:
         self._rng = np.random.default_rng(config.seed)
         # lazily-built execution contexts, keyed by degree
         self._accelerators: Dict[int, CryptoPIM] = {}
-        self._engines: Dict[int, NttEngine] = {}
         self._kyber: Optional[Tuple[KyberKem, Any, Any]] = None  # (kem, pk, sk)
         self._bgv: Dict[int, Tuple[BgvScheme, Any]] = {}   # (scheme, sk)
         self._bfv: Dict[int, Tuple[BfvScheme, Any]] = {}
@@ -204,9 +204,7 @@ class CryptoPimService:
         return self._accelerators[n]
 
     def engine(self, n: int) -> NttEngine:
-        if n not in self._engines:
-            self._engines[n] = NttEngine.for_degree(n)
-        return self._engines[n]
+        return NttEngine.shared(params_for_degree(n))
 
     def kyber(self) -> Tuple[KyberKem, Any, Any]:
         """The service KEM context ``(kem, pk, sk)`` (paper n=256 ring)."""
