@@ -31,6 +31,12 @@ __all__ = ["KyberPke", "KyberPublicKey", "KyberSecretKey", "KyberCiphertext",
            "KyberKem"]
 
 
+def _ntt_domain(block: np.ndarray, params: NttParams) -> np.ndarray:
+    """A ``(..., n)`` key block in the NTT domain of its ring's engine."""
+    rows = block.reshape(-1, params.n)
+    return NttEngine.shared(params).to_ntt_many(rows).reshape(block.shape)
+
+
 @dataclass(frozen=True)
 class KyberPublicKey:
     seed_matrix: List[List[Polynomial]]  # the public matrix A (k x k)
@@ -38,11 +44,18 @@ class KyberPublicKey:
 
     @cached_property
     def block(self) -> np.ndarray:
-        """The ``(k^2 + k, n)`` left operand of every encryption: the rows
-        of ``A^T`` (``A[j][i]`` at row ``i*k + j``) followed by ``t``."""
+        """The ``(k + 1, k, n)`` left operand of every encryption: row
+        ``i < k`` is ``A^T[i]`` (``A[j][i]`` at ``[i, j]``), row ``k`` is
+        ``t``."""
         k = len(self.t)
-        rows = [self.seed_matrix[j][i] for i in range(k) for j in range(k)]
-        return np.stack([p.coeffs for p in rows + list(self.t)])
+        rows = [[self.seed_matrix[j][i] for j in range(k)]
+                for i in range(k)] + [self.t]
+        return np.array([[p.coeffs for p in row] for row in rows])
+
+    @cached_property
+    def hat(self) -> np.ndarray:
+        """``block`` in the NTT domain: the cached ``A^T`` and ``t``."""
+        return _ntt_domain(self.block, self.t[0].params)
 
 
 @dataclass(frozen=True)
@@ -51,8 +64,13 @@ class KyberSecretKey:
 
     @cached_property
     def block(self) -> np.ndarray:
-        """``s`` as a ``(k, n)`` block, the left operand of decryption."""
-        return np.stack([p.coeffs for p in self.s])
+        """``s`` as a ``(1, k, n)`` block, the left operand of decryption."""
+        return np.stack([p.coeffs for p in self.s])[None]
+
+    @cached_property
+    def hat(self) -> np.ndarray:
+        """``block`` in the NTT domain: the cached ``s``."""
+        return _ntt_domain(self.block, self.s[0].params)
 
 
 @dataclass(frozen=True)
@@ -107,14 +125,44 @@ class KyberPke:
         return ((ones[:, :, 0] - ones[:, :, 1]) % self.params.q).astype(
             np.uint64)
 
+    def _backend(self) -> MultiplierBackend:
+        return self.backend or NttEngine.shared(self.params)
+
     def _products(self, key: np.ndarray, operands: np.ndarray) -> np.ndarray:
         """Products of a ``(rows, n)`` key block with each ``(rows, n)``
         slice of a ``(count, rows, n)`` block, in one backend call."""
         count, rows, n = operands.shape
         left = np.broadcast_to(key, operands.shape).reshape(-1, n)
-        backend = self.backend or NttEngine.shared(self.params)
-        products = multiply_rows(backend, left, operands.reshape(-1, n))
+        products = multiply_rows(self._backend(), left,
+                                 operands.reshape(-1, n))
         return products.reshape(count, rows, n)
+
+    def _dot(self, key, operands: np.ndarray) -> np.ndarray:
+        """``out[c, i] = sum_j key.block[i, j] * operands[c, j] mod q`` for
+        a key's ``(rows, k, n)`` block and a ``(count, k, n)`` block.
+
+        The one dispatch rule: a backend with ``to_ntt_many`` (the default
+        :class:`NttEngine`) transforms each operand once, multiplies and
+        sums against the key's cached ``hat`` in the NTT domain, and
+        transforms each output row back - ``2k + 1`` transforms per
+        encryption and ``k + 1`` per decryption instead of three per
+        product.  Any other backend (CryptoPIM, the segmented and dataflow
+        models) multiplies every pair in one :func:`multiply_rows` call,
+        so the accelerator still sees each product.
+        """
+        count, k, n = operands.shape
+        rows = key.block.shape[0]
+        backend = self._backend()
+        if hasattr(backend, "to_ntt_many"):
+            hat = backend.to_ntt_many(operands.reshape(-1, n))
+            sums = backend.pointwise_sum(key.hat,
+                                         hat.reshape(count, 1, k, n))
+            return backend.from_ntt_many(sums.reshape(-1, n)).reshape(
+                count, rows, n)
+        pairs = np.broadcast_to(operands[:, None], (count, rows, k, n))
+        products = self._products(key.block.reshape(-1, n),
+                                  pairs.reshape(count, -1, n))
+        return products.reshape(count, rows, k, n).sum(axis=2) % self.params.q
 
     def _polys(self, block: np.ndarray) -> List[Polynomial]:
         return [Polynomial(row, self.params, self.backend) for row in block]
@@ -150,26 +198,23 @@ class KyberPke:
         """Encrypt a ``(count, n)`` block of message bits in one batch.
 
         All ``count * (k^2 + k)`` ring products - every encryption's
-        ``A^T r`` and ``t . r`` - go through a *single* backend call,
-        which is the shape a serving batch window hands the accelerator:
-        one kernel dispatch per window, not per client.  Noise ``r, e1,
-        e2`` is drawn per message in submission order, so results match
-        ``encrypt`` called in sequence with the same generator.
+        ``A^T r`` and ``t . r`` - run as one batch (:meth:`_dot`), which is
+        the shape a serving batch window hands the accelerator: one kernel
+        dispatch per window, not per client.  Noise ``r, e1, e2`` is drawn
+        per message in submission order, so results match ``encrypt``
+        called in sequence with the same generator.
         """
         block = np.asarray(messages)
         if block.ndim != 2 or block.shape[1] != self.params.n:
             raise ValueError(
                 f"messages must be (count, {self.params.n}) bits")
-        (count, n), k, q = block.shape, self.k, self.params.q
+        count, k, q = block.shape[0], self.k, self.params.q
         noise = self._noise(count, 2 * k + 1)
         r, e1, e2 = noise[:, :k], noise[:, k:2 * k], noise[:, 2 * k]
-        # operand rows pair with pk.block: r_j for A^T[i][j], then r_i for t_i
-        idx = [j for _ in range(k) for j in range(k)] + list(range(k))
-        products = self._products(pk.block, r[:, idx])
-        u = products[:, :k * k].reshape(count, k, k, n).sum(axis=2)
-        u = (u + e1) % q
-        v = products[:, k * k:].sum(axis=1) + e2
-        v = (v + block.astype(np.uint64) * np.uint64(q // 2)) % q
+        rows = self._dot(pk, r)                   # A^T r, then t . r
+        u = (rows[:, :k] + e1) % q
+        v = (rows[:, k] + e2
+             + block.astype(np.uint64) * np.uint64(q // 2)) % q
         return [KyberCiphertext(u=self._polys(u[m]),
                                 v=Polynomial(v[m], self.params, self.backend))
                 for m in range(count)]
@@ -182,7 +227,7 @@ class KyberPke:
         q = self.params.q
         u = np.stack([[p.coeffs for p in ct.u] for ct in cts])
         v = np.stack([ct.v.coeffs for ct in cts])
-        s_u = self._products(sk.block, u).sum(axis=1) % q
+        s_u = self._dot(sk, u)[:, 0]
         noisy = (v + np.uint64(q) - s_u) % q
         return list((np.abs(centered_block(noisy, q)) > q // 4)
                     .astype(np.int64))

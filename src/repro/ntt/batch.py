@@ -8,17 +8,20 @@ precisely by amortising per-transform control overhead across many
 polynomials.  This module gives the software simulator the same shape: one
 set of numpy stage operations processes a whole ``(batch, n)`` block.
 
-The datapath is chosen by the width of the modulus alone:
+The production datapath serves every modulus below :data:`FLOAT_MAX_Q`:
 
 ========================  =================================================
 ``q < 2^26``              :func:`ct_forward_float` / :func:`gs_inverse_float`
                           on signed ``float64`` with lazy reduction: phi
                           folded into the twiddles, no row gathers.  This
-                          covers every paper modulus (7681, 12289, 786433)
-                          and 24-bit RNS primes.
-``2^26 <= q < 2^31``      :func:`gs_kernel_batch` on ``uint64`` with exact
-                          ``%`` butterflies
+                          covers every paper modulus (7681, 12289, 786433),
+                          Dilithium's 8380417 and 24-bit RNS primes.
 ========================  =================================================
+
+Wider moduli are composed from such primes by
+:class:`repro.ntt.rns.RnsBasis`.  The exact-``%`` :func:`gs_kernel_batch`
+(``q < 2^31``) remains only as the oracle under the single-polynomial
+``*_np`` functions.
 
 Pieces:
 
@@ -26,10 +29,11 @@ Pieces:
   bit-reversal gather plus every butterfly stage's reshape geometry
   ``(groups, distance)``, built once per degree.
 * :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D ``uint64``
-  block, in place; each row is one polynomial in bit-reversed order on
-  entry and natural order on exit.
+  block, in place, with exact ``%`` butterflies; each row is one polynomial
+  in bit-reversed order on entry and natural order on exit.
 * :func:`float_schedule` - the static per-``(n, q)`` reduction schedule of
-  the float datapath, with its 2^52 bound checked once.
+  the float datapath, with its 2^52 bounds (the NTT-domain sum's too)
+  checked once.
 * :func:`ct_forward_float` / :func:`gs_inverse_float` - the merged
   Cooley-Tukey forward (natural in, bit-reversed out) and Gentleman-Sande
   inverse (bit-reversed in, natural out) on ``float64`` blocks.
@@ -68,7 +72,6 @@ __all__ = [
     "modmul_float",
     "reduce_float",
     "canonical_float",
-    "kernel_dtype",
     "check_kernel_modulus",
     "set_stage_hook",
     "StageHook",
@@ -95,12 +98,12 @@ def set_stage_hook(hook: Optional[StageHook]) -> Optional[StageHook]:
     _STAGE_HOOK = hook
     return previous
 
-#: moduli below this bound run on the float64 lazy-reduction datapath:
-#: every paper modulus and 24-bit RNS primes.  A twiddle product of two
-#: unreduced-but-bounded residues must stay below 2^52, which leaves no
-#: headroom for lazy sums once q reaches 2^26.
+#: moduli below this bound run on the float64 lazy-reduction datapath, the
+#: only engine datapath: every paper modulus and 24-bit RNS primes.  A
+#: twiddle product of two unreduced-but-bounded residues must stay below
+#: 2^52, which leaves no headroom for lazy sums once q reaches 2^26.
 FLOAT_MAX_Q = 1 << 26
-#: widest modulus any numpy kernel datapath accepts.  The ``%`` path
+#: widest modulus the exact ``%`` oracle kernel accepts.  The ``%`` path
 #: multiplies the *biased* butterfly difference ``t + q - bot < 2q`` by a
 #: twiddle ``< q``, so intermediates need ``2*bits(q) + 1`` bits; 31-bit
 #: moduli are the largest whose products provably fit uint64.  (MOD001 in
@@ -123,11 +126,6 @@ def check_kernel_modulus(q: int) -> int:
             f"beyond 31-bit moduli that product wraps 64 bits and the "
             f"following % reduces garbage")
     return q
-
-
-def kernel_dtype(q: int) -> np.dtype:
-    """The kernel datapath dtype for ``q``: float64 or uint64."""
-    return np.dtype(np.float64 if q < FLOAT_MAX_Q else np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +199,9 @@ def gs_kernel_batch(
     place.
 
     Rows enter in bit-reversed order and leave holding the transform in
-    natural order.  This is the exact ``uint64`` datapath of moduli
-    ``q >= 2^26`` and of the single-polynomial ``*_np`` functions: every
-    butterfly reduces with ``%``.
+    natural order.  Every butterfly reduces with ``%``: this is the exact
+    oracle under the single-polynomial ``*_np`` functions, not an engine
+    datapath.
     """
     check_kernel_modulus(q)
     cols, plan = _columns(values, plan)
@@ -281,19 +279,26 @@ class FloatSchedule:
         reduce_operands: reduce ``(a, b)`` before the pointwise product.
         inverse: per Gentleman-Sande stage, in execution order (distances
             ``1 .. n/2``): reduce the tops after the stage.
+        sum_terms: the most products one NTT-domain sum may add.  Its
+            operands are canonical, so each product ``<= (q-1)^2 < 2^52``
+            is exact and reduces to ``|r| <= q//2 + 1``; ``sum_terms`` such
+            terms stay within 2^52 for the one reduction after the sum.
+            Every ``q < 2^26`` allows at least 2^27 terms.
     """
 
     q: int
     forward: Tuple[bool, ...]
     reduce_operands: Tuple[bool, bool]
     inverse: Tuple[bool, ...]
+    sum_terms: int
 
 
 def float_schedule(n: int, q: int) -> FloatSchedule:
     """Compute and check the reduction schedule of the float datapath.
 
-    Inputs enter both transforms canonical (``[0, q)``); the scaled output
-    of the inverse and of the pointwise product are signed residues.
+    Inputs enter both transforms and the NTT-domain sum canonical
+    (``[0, q)``); the scaled output of the inverse and of the pointwise
+    product are signed residues.
     Raises ``ValueError`` if ``q`` is outside the float datapath or any
     product of the schedule could reach 2^52.
     """
@@ -340,10 +345,12 @@ def float_schedule(n: int, q: int) -> FloatSchedule:
         inverse.append(reduce)
         bound = red if reduce else top
     product(bound, tw)                   # n^-1 scale
+    product(q - 1, q - 1)                # NTT-domain sum: canonical operands
     return FloatSchedule(q=q, forward=tuple(forward),
                          reduce_operands=(reduce_operands[0],
                                           reduce_operands[1]),
-                         inverse=tuple(inverse))
+                         inverse=tuple(inverse),
+                         sum_terms=_FLOAT_CAP // red)
 
 
 def reduce_float(x: np.ndarray, q: float, scratch: np.ndarray) -> np.ndarray:

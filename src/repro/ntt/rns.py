@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import KERNEL_MAX_Q_BITS, check_kernel_modulus
+from .batch import FLOAT_MAX_Q, check_kernel_modulus
 from .modmath import is_prime, mod_inverse, nth_root_of_unity
 from .params import NttParams
 from .transform import NttEngine
@@ -34,7 +34,9 @@ __all__ = ["find_ntt_primes", "RnsBasis", "RnsPolynomial"]
 def find_ntt_primes(n: int, count: int, bits: int = 20) -> List[int]:
     """Find ``count`` distinct primes ``p = k * 2n + 1`` near ``2^bits``.
 
-    Such primes support the full negacyclic NTT at degree ``n``.
+    Such primes support the full negacyclic NTT at degree ``n``.  They
+    must stay below ``FLOAT_MAX_Q = 2^26``, the limit of the engine's
+    float64 datapath.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -42,12 +44,12 @@ def find_ntt_primes(n: int, count: int, bits: int = 20) -> List[int]:
     primes: List[int] = []
     candidate = ((1 << bits) // step) * step + 1
     while len(primes) < count:
-        # the kernel's uint64 datapath needs 2*bits(q)+1 bits of headroom;
+        # the float64 datapath multiplies two residues exactly below 2^52;
         # the old 62-bit cap let 124-bit products wrap silently
-        if candidate.bit_length() > KERNEL_MAX_Q_BITS:
+        if candidate >= FLOAT_MAX_Q:
             raise ValueError(
                 f"ran out of representable primes: candidates crossed the "
-                f"{KERNEL_MAX_Q_BITS}-bit kernel datapath cap")
+                f"2^26 kernel datapath cap (FLOAT_MAX_Q)")
         if is_prime(candidate):
             primes.append(candidate)
         candidate += step
@@ -58,8 +60,9 @@ class RnsBasis:
     """A tower of NTT primes for degree ``n``: the modulus ``Q = prod q_i``.
 
     Channel ``i`` carries arithmetic mod ``q_i`` through its own NTT
-    engine.  The basis supports CRT reconstruction and dropping its last
-    prime (for modulus switching).
+    engine, so every prime must be below ``FLOAT_MAX_Q = 2^26``; the
+    basis refuses wider ones when it is built.  It supports CRT
+    reconstruction and dropping its last prime (for modulus switching).
     """
 
     def __init__(self, n: int, primes: Sequence[int]):
@@ -71,6 +74,10 @@ class RnsBasis:
         self.primes: Tuple[int, ...] = tuple(primes)
         for q in self.primes:
             check_kernel_modulus(q)
+            if q >= FLOAT_MAX_Q:
+                raise ValueError(
+                    f"{q} crosses the 2^26 kernel datapath cap "
+                    f"(FLOAT_MAX_Q) of the engine's float64 datapath")
             if not is_prime(q):
                 raise ValueError(f"{q} is not prime")
             if (q - 1) % (2 * n) != 0:

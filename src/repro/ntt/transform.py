@@ -16,12 +16,14 @@ Implementations with identical results:
 
 * pure-Python on ``list[int]`` - the readable ground truth;
 * vectorised numpy ``*_np`` functions on ``uint64`` arrays (the exact
-  ``%`` datapath, one polynomial at a time);
+  ``%`` oracle, one polynomial at a time);
 * :class:`NttEngine` - the production batched engine used by the PIM
   simulator's functional mode, the crypto layer and the CPU baseline.
-  Its datapath follows the width of ``q`` (:mod:`repro.ntt.batch`); for
-  every ``q < 2^26`` - all the paper's moduli - it folds the ``phi``
-  twist into the twiddles and never gathers a row.
+  It runs the float64 datapath of :mod:`repro.ntt.batch` for every
+  ``q < 2^26`` - all the paper's moduli - folds the ``phi`` twist into the
+  twiddles and never gathers a row of a product.  Operands that meet many
+  times can stay in its NTT domain (``to_ntt_many``, ``pointwise_sum``,
+  ``from_ntt_many``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .batch import (
+    FLOAT_MAX_Q,
     StagePlan,
     bitrev_gather_rows,
     canonical_float,
@@ -43,7 +46,6 @@ from .batch import (
     float_schedule,
     gs_inverse_float,
     gs_kernel_batch,
-    kernel_dtype,
     modmul_float,
     reduce_float,
     stage_plan,
@@ -296,46 +298,46 @@ class NttEngine:
     cores; each public call validates on the calling thread, and the row
     ranges run the private ``_*_rows`` bodies, never the public methods.
 
-    The datapath follows the width of ``q`` (see :mod:`repro.ntt.batch`):
-    the gather-free float64 pair for ``q < 2^26``, exact ``%`` on
-    ``uint64`` above.  Both return canonical residues in ``[0, q)``,
-    bit-identical to the pure-Python oracle.  Every table is read-only.
+    Operands that meet many times stay in the NTT domain:
+    ``to_ntt_many``, ``pointwise_sum`` and ``from_ntt_many`` are the three
+    steps of ``multiply_many`` with the forward transforms and the inverse
+    shared across products.  NTT-domain rows are canonical ``uint64``
+    residues in the kernel's native bit-reversed order.
+
+    Every method runs the gather-free float64 datapath of
+    :mod:`repro.ntt.batch`, so ``q`` must be below ``FLOAT_MAX_Q = 2^26``;
+    wider moduli are composed from such primes by
+    :class:`repro.ntt.rns.RnsBasis`.  Results are canonical residues in
+    ``[0, q)``, bit-identical to the pure-Python oracle.  Every table is
+    read-only.
     """
 
     def __init__(self, params: NttParams):
         check_kernel_modulus(params.q)
-        self.params = params
         n, q = params.n, params.q
+        if q >= FLOAT_MAX_Q:
+            raise ValueError(
+                f"modulus {q} is at or above FLOAT_MAX_Q = 2^26, the limit "
+                f"of the float64 engine datapath; compose wider moduli from "
+                f"NTT primes below it with RnsBasis")
+        self.params = params
         self._plan: StagePlan = stage_plan(n)
-        self._dtype = kernel_dtype(q)
-        if self._dtype == np.float64:
-            self._schedule = float_schedule(n, q)
-            rev = self._plan.bitrev
-            #: negacyclic tables, phi folded in: zeta[k] = phi^brv(k)
-            self._zeta = _signed_table(
-                np.asarray(params.phi_powers())[rev], q)
-            self._zeta_inv = _signed_table(
-                np.asarray(params.phi_inv_powers())[rev], q)
-            #: cyclic tables for the standalone transforms
-            self._cyclic = _signed_table(
-                _stage_layout(params.forward_twiddles_bitrev()), q)
-            self._cyclic_inv = _signed_table(
-                _stage_layout(params.inverse_twiddles_bitrev()), q)
-            self._n_inv = _signed_table([params.n_inv], q)
-            return
-        dt = self._dtype
-        self._phi = _frozen(np.asarray(params.phi_powers(), dtype=dt))
-        self._fwd_tw = _frozen(
-            np.asarray(params.forward_twiddles_bitrev(), dtype=dt))
-        self._inv_tw = _frozen(
-            np.asarray(params.inverse_twiddles_bitrev(), dtype=dt))
-        #: n^-1 * phi^-i fused post-scale (the table the PIM stores too)
-        self._post = _frozen(
-            np.asarray(params.phi_inv_powers_scaled(), dtype=dt))
+        self._schedule = float_schedule(n, q)
+        rev = self._plan.bitrev
+        #: negacyclic tables, phi folded in: zeta[k] = phi^brv(k)
+        self._zeta = _signed_table(np.asarray(params.phi_powers())[rev], q)
+        self._zeta_inv = _signed_table(
+            np.asarray(params.phi_inv_powers())[rev], q)
+        #: cyclic tables for the standalone transforms
+        self._cyclic = _signed_table(
+            _stage_layout(params.forward_twiddles_bitrev()), q)
+        self._cyclic_inv = _signed_table(
+            _stage_layout(params.inverse_twiddles_bitrev()), q)
+        self._n_inv = _signed_table([params.n_inv], q)
 
     @classmethod
     def for_degree(cls, n: int) -> "NttEngine":
-        return cls(params_for_degree(n))
+        return cls.shared(params_for_degree(n))
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -381,10 +383,9 @@ class NttEngine:
 
         Bit-identical to calling :meth:`multiply` on each row, at the cost
         of roughly one transform's worth of numpy dispatch for the whole
-        batch.  On the float datapath the phi twists live in the twiddles
-        and the pointwise product runs in bit-reversed order, so nothing is
-        gathered; the ``uint64`` datapath bit-reverses rows and scales by
-        the fused ``n^-1 * phi^-i`` column the PIM itself stores.
+        batch.  The phi twists live in the twiddles and the pointwise
+        product runs in bit-reversed order, so nothing is gathered, and the
+        operands stay float64 from the first transform to the last.
         """
         a2 = self._rows(a)
         b2 = self._rows(b)
@@ -393,6 +394,55 @@ class NttEngine:
                 f"operand batches differ: {a2.shape[0]} vs {b2.shape[0]}"
             )
         return self._run(self._multiply_rows, a2, b2)
+
+    # -- NTT-domain operands ------------------------------------------------
+
+    def to_ntt_many(self, values: np.ndarray) -> np.ndarray:
+        """Every row of a ``(batch, n)`` block into the NTT domain.
+
+        Row ``r`` of the result is ``ntt_gs`` of the phi-twisted row in
+        bit-reversed order: the negacyclic forward transform of
+        :meth:`multiply_many`, as canonical ``uint64`` residues.
+        """
+        return self._run(self._to_ntt_rows, self._rows(values))
+
+    def from_ntt_many(self, values: np.ndarray) -> np.ndarray:
+        """Every NTT-domain row of a ``(batch, n)`` block back to
+        coefficients: the inverse of :meth:`to_ntt_many`, ``n^-1``
+        scale and phi untwist included."""
+        return self._run(self._from_ntt_rows, self._rows(values))
+
+    def pointwise_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``sum(a * b, axis=-2) mod q`` over NTT-domain operands.
+
+        ``a`` and ``b`` broadcast like numpy arrays whose last axis has
+        length ``n``; axis ``-2`` of the broadcast shape holds the terms.
+        ``from_ntt_many`` of a result row is the sum of the negacyclic
+        products of the rows it was made from.  Each product is exact and
+        reduced before the sum, which ``FloatSchedule.sum_terms`` bounds.
+        """
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        if min(a.ndim, b.ndim) < 2 or a.shape[-1] != self.n \
+                or b.shape[-1] != self.n:
+            raise ValueError(
+                f"expected (..., terms, {self.n}) operands, got shapes "
+                f"{a.shape} and {b.shape}")
+        try:
+            terms = np.broadcast_shapes(a.shape, b.shape)[-2]
+        except ValueError:
+            raise ValueError(f"operand shapes {a.shape} and {b.shape} do "
+                             f"not broadcast") from None
+        if terms > self._schedule.sum_terms:
+            raise ValueError(
+                f"{terms} terms exceed the float datapath's sum bound of "
+                f"{self._schedule.sum_terms} for q = {self.q}")
+        q = np.uint64(self.q)
+        products = np.multiply(np.remainder(a, q).astype(np.float64),
+                               np.remainder(b, q).astype(np.float64))
+        reduce_float(products, float(self.q), np.empty_like(products))
+        total = products.sum(axis=-2)
+        return self._finish_float(total, np.empty_like(total))
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The caller's block as ``uint64``, shape-checked."""
@@ -440,11 +490,11 @@ class NttEngine:
         return out
 
     def _as_batch(self, arr: np.ndarray) -> np.ndarray:
-        """One reduction mod ``q`` into a fresh column-major block of the
-        datapath dtype (the layout every kernel stage runs on)."""
+        """One reduction mod ``q`` into a fresh column-major float64 block
+        (the layout every kernel stage runs on)."""
         # written as the C-contiguous (n, batch) transpose: numpy then walks
         # the output contiguously, which is the cheaper side of the transpose
-        cols = np.empty(arr.shape[::-1], dtype=self._dtype)
+        cols = np.empty(arr.shape[::-1], dtype=np.float64)
         np.remainder(arr.T, np.uint64(self.q), out=cols)
         return cols.T
 
@@ -462,58 +512,58 @@ class NttEngine:
         np.copyto(out, x, casting="unsafe")
         return out
 
+    # -- float-resident bodies ----------------------------------------------
+
+    def _forward(self, values: np.ndarray, tables) -> np.ndarray:
+        """Rows mod ``q`` through the Cooley-Tukey forward on ``tables``: a
+        column-major float64 block in bit-reversed order, bounded but
+        unreduced."""
+        work = self._as_batch(values)
+        ct_forward_float(work, *tables, self._schedule, self._plan)
+        return work
+
+    def _inverse(self, work: np.ndarray, tables, scratch: np.ndarray,
+                 out: Optional[np.ndarray]) -> np.ndarray:
+        """A bit-reversed float64 block (``|x| <= q - 1``) through the
+        Gentleman-Sande inverse on ``tables`` and the ``n^-1`` scale to
+        canonical residues; ``scratch`` is a spare block of its shape."""
+        q = float(self.q)
+        gs_inverse_float(work, *tables, self._schedule, self._plan)
+        modmul_float(work, *self._n_inv, q, work, scratch)
+        return self._emit(canonical_float(work, q), out)
+
     def _forward_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
-        work = self._as_batch(values)
-        plan = self._plan
-        if self._dtype != np.float64:
-            work = gs_kernel_batch(bitrev_gather_rows(work, plan),
-                                   self._fwd_tw, self.q, plan)
-            return self._emit(work, out)
-        ct_forward_float(work, *self._cyclic, self._schedule, plan)
+        work = self._forward(values, self._cyclic)
         spectrum = self._finish_float(work, np.empty_like(work))
-        return self._emit(bitrev_gather_rows(spectrum, plan), out)
+        return self._emit(bitrev_gather_rows(spectrum, self._plan), out)
 
     def _inverse_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
-        q, plan = self.q, self._plan
-        work = bitrev_gather_rows(self._as_batch(values), plan)
-        if self._dtype != np.float64:
-            gs_kernel_batch(work, self._inv_tw, q, plan)
-            return self._emit((work * self.params.n_inv) % q, out)
-        gs_inverse_float(work, *self._cyclic_inv, self._schedule, plan)
-        scratch = np.empty_like(work)
-        modmul_float(work, *self._n_inv, float(q), work, scratch)
-        return self._emit(canonical_float(work, float(q)), out)
+        work = bitrev_gather_rows(self._as_batch(values), self._plan)
+        return self._inverse(work, self._cyclic_inv, np.empty_like(work), out)
+
+    def _to_ntt_rows(self, values: np.ndarray,
+                     out: Optional[np.ndarray]) -> np.ndarray:
+        work = self._forward(values, self._zeta)
+        return self._emit(self._finish_float(work, np.empty_like(work)), out)
+
+    def _from_ntt_rows(self, values: np.ndarray,
+                       out: Optional[np.ndarray]) -> np.ndarray:
+        work = self._as_batch(values)
+        return self._inverse(work, self._zeta_inv, np.empty_like(work), out)
 
     def _multiply_rows(self, a: np.ndarray, b: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
-        q, plan = self.q, self._plan
-        a2 = self._as_batch(a)
-        b2 = self._as_batch(b)
-        if self._dtype != np.float64:
-            a_hat = gs_kernel_batch(
-                bitrev_gather_rows((a2 * self._phi) % q, plan),
-                self._fwd_tw, q, plan)
-            b_hat = gs_kernel_batch(
-                bitrev_gather_rows((b2 * self._phi) % q, plan),
-                self._fwd_tw, q, plan)
-            c_twisted = gs_kernel_batch(
-                bitrev_gather_rows((a_hat * b_hat) % q, plan),
-                self._inv_tw, q, plan)
-            return self._emit((c_twisted * self._post) % q, out)
-        schedule = self._schedule
-        qf = float(q)
-        ct_forward_float(a2, *self._zeta, schedule, plan)
-        ct_forward_float(b2, *self._zeta, schedule, plan)
-        if any(schedule.reduce_operands):
+        q = float(self.q)
+        a2 = self._forward(a, self._zeta)
+        b2 = self._forward(b, self._zeta)
+        if any(self._schedule.reduce_operands):
             scratch = np.empty_like(a2)
-            for block, reduce in zip((a2, b2), schedule.reduce_operands):
+            for block, reduce in zip((a2, b2), self._schedule.reduce_operands):
                 if reduce:
-                    reduce_float(block, qf, scratch)
+                    reduce_float(block, q, scratch)
         # pointwise product in bit-reversed order; b2 becomes scratch
         np.multiply(a2, b2, out=a2)
-        reduce_float(a2, qf, b2)
-        gs_inverse_float(a2, *self._zeta_inv, schedule, plan)
-        modmul_float(a2, *self._n_inv, qf, a2, b2)
-        return self._emit(canonical_float(a2, qf), out)
+        reduce_float(a2, q, b2)
+        return self._inverse(a2, self._zeta_inv, b2, out)

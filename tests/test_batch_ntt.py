@@ -8,8 +8,8 @@ from repro.core.accelerator import CryptoPIM
 from repro.ntt.batch import (
     FLOAT_MAX_Q,
     bitrev_gather_rows,
+    float_schedule,
     gs_kernel_batch,
-    kernel_dtype,
     stage_plan,
 )
 from repro.ntt.params import params_for_degree
@@ -79,12 +79,12 @@ class TestKernelPaths:
         assert np.array_equal(block, rows[:, plan.bitrev])
 
     def test_kernel_dtype_tiers(self):
-        assert kernel_dtype(7681) == np.float64
-        assert kernel_dtype(12289) == np.float64
-        assert kernel_dtype(786433) == np.float64
-        assert kernel_dtype(3) == np.float64
-        assert kernel_dtype(FLOAT_MAX_Q - 1) == np.float64
-        assert kernel_dtype(FLOAT_MAX_Q) == np.uint64
+        # one engine datapath: the float schedule serves every q below
+        # FLOAT_MAX_Q, and nothing from it up
+        for q in (3, 7681, 12289, 786433, FLOAT_MAX_Q - 1):
+            assert float_schedule(256, q).q == q
+        with pytest.raises(ValueError):
+            float_schedule(256, FLOAT_MAX_Q)
 
 
 class TestBatchedEngine:

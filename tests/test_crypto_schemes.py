@@ -157,6 +157,25 @@ class TestKyberBatch:
         assert keys == [key for _, key in batch]
         assert keys == [kem.decapsulate(sk, ct) for ct, _ in batch]
 
+    @pytest.mark.parametrize("count", [1, 13, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_engine_and_accelerator_agree(self, k, count):
+        """The engine's NTT-domain path and the accelerator's per-row
+        products give the same keys, ciphertexts and KEM keys."""
+        runs = []
+        for backend in (None, CryptoPIM.for_degree(256)):
+            kem = KyberKem(k=k, backend=backend, rng=_rng(30 + k))
+            pk, sk = kem.keygen()
+            batch = kem.encapsulate_many(pk, count)
+            keys = kem.decapsulate_many(sk, [ct for ct, _ in batch])
+            runs.append((pk, sk, batch, keys))
+        (pk, sk, batch, keys), (pk1, sk1, batch1, keys1) = runs
+        assert pk.seed_matrix == pk1.seed_matrix and pk.t == pk1.t
+        assert sk.s == sk1.s
+        for (ct, key), (ct1, key1) in zip(batch, batch1, strict=True):
+            assert _same_ciphertext(ct, ct1) and key == key1
+        assert keys == keys1 == [key for _, key in batch]
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_encapsulate_is_batch_of_one(self, k, backend):
         kem = KyberKem(k=k, backend=backend, rng=_rng(60 + k))

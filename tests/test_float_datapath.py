@@ -15,7 +15,6 @@ import pytest
 from repro.ntt.batch import (
     FLOAT_MAX_Q,
     float_schedule,
-    kernel_dtype,
 )
 from repro.ntt.modmath import is_prime, nth_root_of_unity
 from repro.ntt.params import NttParams, modulus_for_degree, params_for_degree
@@ -87,23 +86,21 @@ def oracle_products(eng, a, b):
 
 class TestRouting:
     def test_paper_and_rns_moduli_take_float_path(self):
-        assert NttEngine.for_degree(4096)._dtype == np.float64
+        # the paper's, Dilithium's and the RNS primes all build an engine
+        assert NttEngine.for_degree(4096).q < FLOAT_MAX_Q
         for q in RnsBasis.generate(1024, 3, bits=24).primes:
-            assert kernel_dtype(q) == np.float64
-        assert kernel_dtype(WIDE_Q) == np.float64
+            assert q < FLOAT_MAX_Q
+        for q in (8380417, WIDE_Q):
+            assert engine_for_prime(256, q).q == q
 
-    def test_prime_above_2_26_routes_to_modulo_path(self, rng):
+    def test_engine_refuses_prime_above_2_26(self):
         n = 64
         q = (FLOAT_MAX_Q // (2 * n) + 1) * (2 * n) + 1
         while not is_prime(q):
             q += 2 * n
         assert q > FLOAT_MAX_Q
-        eng = engine_for_prime(n, q)
-        assert eng._dtype == np.uint64
-        a = rng.integers(0, q, (2, n)).astype(np.uint64)
-        b = rng.integers(0, q, (2, n)).astype(np.uint64)
-        assert np.array_equal(eng.multiply_many(a, b),
-                              oracle_products(eng, a, b))
+        with pytest.raises(ValueError, match="RnsBasis"):
+            engine_for_prime(n, q)
 
     def test_schedule_refuses_moduli_outside_float_path(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,17 @@ class TestPrimeSearch:
         with pytest.raises(ValueError):
             find_ntt_primes(256, 0)
 
+    def test_refuses_primes_past_the_float_datapath(self):
+        """Primes at or above 2^26 are refused when the basis is built,
+        not when a channel's engine is first used."""
+        with pytest.raises(ValueError, match="kernel datapath cap"):
+            RnsBasis.generate(64, 1, bits=27)
+        wide = 134217089             # a 27-bit NTT prime for n = 64
+        assert wide.bit_length() == 27 and (wide - 1) % 128 == 0
+        with pytest.raises(ValueError, match="kernel datapath cap"):
+            RnsBasis(64, [wide])
+        assert max(find_ntt_primes(64, 3, bits=25)) < 1 << 26
+
 
 class TestRnsBasis:
     @pytest.fixture

@@ -138,18 +138,6 @@ class TestBitIdentical:
             assert np.array_equal(
                 got[2][r], schoolbook_negacyclic_np(a[r] % p.q, b[r], p.q))
 
-    def test_wide_modulus_datapath(self, width):
-        """The uint64 ``%`` path is sliced by the same helper."""
-        eng = RnsBasis.generate(2048, 1, bits=30).engine(0)
-        assert eng.q >= 1 << 26
-        a, b = operands(2048, 64, seed=3)
-        b %= np.uint64(eng.q)
-        expected = whole(eng.multiply_many, a, b)
-        width(2)
-        assert np.array_equal(eng.multiply_many(a, b), expected)
-        assert np.array_equal(
-            expected[5], schoolbook_negacyclic_np(a[5] % eng.q, b[5], eng.q))
-
     def test_multiply_batch(self, width):
         acc = CryptoPIM.for_degree(4096)
         a, b = operands(4096, 64, seed=11)
@@ -334,8 +322,7 @@ class TestSharedEngines:
 
     @pytest.mark.parametrize("engine", [
         NttEngine.shared(params_for_degree(256)),
-        RnsBasis.generate(64, 1, bits=30).engine(0),
-    ], ids=["float64", "uint64"])
+    ], ids=["float64"])
     def test_tables_read_only(self, engine):
         tables = list(self.tables(engine))
         assert len(tables) >= 4
