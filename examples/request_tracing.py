@@ -12,7 +12,8 @@ it:
 * the Chrome trace-event export (open it in ui.perfetto.dev) and the
   offline views ``python -m repro trace`` rebuilds from that file alone;
 * :class:`repro.obs.KernelProfiler`, dropping below the execute span to
-  per-stage NTT kernel wall time.
+  NTT kernel wall time per radix pass (one cell per pass, keyed by the
+  lowest butterfly stage it merges).
 
 Run:  python examples/request_tracing.py
 """
@@ -24,6 +25,7 @@ import tempfile
 
 import numpy as np
 
+from repro.ntt.batch import float_schedule
 from repro.ntt.transform import NttEngine
 from repro.obs import KernelProfiler, decompose, render_lanes, stage_table
 from repro.serve import (
@@ -124,12 +126,17 @@ def export_and_offline_views(doc) -> str:
 
 
 def kernel_zoom() -> None:
-    print("\n=== Below the execute span: per-stage NTT kernel time ===")
+    print("\n=== Below the execute span: per-pass NTT kernel time ===")
     engine = NttEngine.for_degree(1024)
     rng = np.random.default_rng(3)
     block = rng.integers(0, engine.q, (32, 1024)).astype(np.uint64)
     with KernelProfiler() as prof:
         engine.forward_many(block)
+    # one cell per radix pass of the schedule, each seeing all 32 rows once
+    passes = [lo for lo, _ in float_schedule(1024, engine.q).passes]
+    cells = prof.stages(1024)
+    assert sorted(stage for _, stage in cells) == passes, cells
+    assert all(cell["rows"] == 32 for cell in cells.values()), cells
     print(prof.breakdown())
 
 

@@ -6,15 +6,17 @@ parallel superbanks*, so the natural unit of work at production scale is a
 (BP-NTT's bit-parallel in-SRAM batching, NTT-PIM's row-centric mapping) win
 precisely by amortising per-transform control overhead across many
 polynomials.  This module gives the software simulator the same shape: one
-set of numpy stage operations processes a whole ``(batch, n)`` block.
+set of numpy operations processes a whole ``(batch, n)`` block.
 
 The production datapath serves every modulus below :data:`FLOAT_MAX_Q`:
 
 ========================  =================================================
 ``q < 2^26``              :func:`ct_forward_float` / :func:`gs_inverse_float`
-                          on signed ``float64`` with lazy reduction: phi
-                          folded into the twiddles, no row gathers.  This
-                          covers every paper modulus (7681, 12289, 786433),
+                          on signed ``float64`` with lazy reduction: the
+                          butterfly stages merged into radix-``2^s``
+                          passes, each one exact ``matmul``; phi folded
+                          into the matrices, no row gathers.  This covers
+                          every paper modulus (7681, 12289, 786433),
                           Dilithium's 8380417 and 24-bit RNS primes.
 ========================  =================================================
 
@@ -31,22 +33,25 @@ Pieces:
 * :func:`gs_kernel_batch` - Algorithm 2 vectorised over a 2-D ``uint64``
   block, in place, with exact ``%`` butterflies; each row is one polynomial
   in bit-reversed order on entry and natural order on exit.
-* :func:`float_schedule` - the static per-``(n, q)`` reduction schedule of
-  the float datapath, with its 2^52 bounds (the NTT-domain sum's too)
-  checked once.
+* :func:`float_schedule` - the static per-``(n, q)`` pass layout and
+  reduction schedule of the float datapath, with its 2^52 bounds (the
+  NTT-domain sum's too) proved once by :func:`check_schedule`.
+* :func:`pass_matrices` - each pass's ``r x r`` matrices, the product of
+  the butterfly stages it merges, built once per engine.
 * :func:`ct_forward_float` / :func:`gs_inverse_float` - the merged
   Cooley-Tukey forward (natural in, bit-reversed out) and Gentleman-Sande
   inverse (bit-reversed in, natural out) on ``float64`` blocks.
 
 Kernels take **column-major** ``(batch, n)`` blocks (Fortran order: the
-batch index varies fastest).  A stage then views the ``(n, batch)``
-transpose as ``(groups, 2, distance, batch)``, so even the distance-1
-stages run numpy loops over contiguous runs of at least ``batch`` values;
-on a row-major block those stages would loop over runs of ``distance``.
+batch index varies fastest).  A radix pass then views the ``(n, batch)``
+transpose as ``(blocks, r, rest)``, so every block is one matrix product
+over contiguous runs of at least ``batch`` values; the oracle's stages
+view it as ``(groups, 2, distance, batch)`` the same way.
 
-Every kernel fires the stage hook once per butterfly stage with
-``stage = log2(distance)``, so :class:`repro.obs.KernelProfiler` cells mean
-the same thing on every datapath.
+The float kernels fire the stage hook once per radix pass with ``stage``
+the log2 of the pass's smallest butterfly distance, so the cells of
+:class:`repro.obs.KernelProfiler` are passes, the same for the forward and
+the inverse; the oracle fires none.
 """
 
 from __future__ import annotations
@@ -67,9 +72,12 @@ __all__ = [
     "gs_kernel_batch",
     "FloatSchedule",
     "float_schedule",
+    "check_schedule",
+    "pass_matrices",
+    "MAX_PASS_LOG",
+    "GEMM_MAX_MACS",
     "ct_forward_float",
     "gs_inverse_float",
-    "modmul_float",
     "reduce_float",
     "canonical_float",
     "check_kernel_modulus",
@@ -79,8 +87,9 @@ __all__ = [
     "FLOAT_MAX_Q",
 ]
 
-#: profiling callback fired once per butterfly stage with
-#: ``(n, stage, batch, seconds)``; see :class:`repro.obs.KernelProfiler`
+#: profiling callback fired once per radix pass of the float kernels with
+#: ``(n, stage, batch, seconds)``, ``stage`` the log2 of the pass's smallest
+#: butterfly distance; see :class:`repro.obs.KernelProfiler`
 StageHook = Callable[[int, int, int, float], None]
 
 _STAGE_HOOK: Optional[StageHook] = None
@@ -90,8 +99,11 @@ def set_stage_hook(hook: Optional[StageHook]) -> Optional[StageHook]:
     """Install (or clear, with ``None``) the kernel stage hook.
 
     Returns the previously installed hook so profilers can nest and
-    restore.  The uninstalled cost is one ``is not None`` branch per
-    stage (``log2(n)`` per transform) - nothing measurable.
+    restore.  The hook fires once per radix pass of
+    :func:`ct_forward_float` / :func:`gs_inverse_float` (``len(
+    float_schedule(n, q).passes)`` per transform, 2 at n = 256 and 3 at
+    n = 4096 for the paper's moduli); the uninstalled cost is one
+    ``is not None`` branch per pass - nothing measurable.
     """
     global _STAGE_HOOK
     previous = _STAGE_HOOK
@@ -205,13 +217,11 @@ def gs_kernel_batch(
     """
     check_kernel_modulus(q)
     cols, plan = _columns(values, plan)
-    n, batch = cols.shape
+    batch = cols.shape[1]
     if batch == 0:
         return values  # empty batch: nothing to transform
     tw = twiddles_bitrev
-    hook = _STAGE_HOOK
-    for stage, (groups, distance) in enumerate(plan.shapes):
-        began = perf_counter() if hook is not None else 0.0
+    for groups, distance in plan.shapes:
         v = cols.reshape(groups, 2, distance, batch)
         bot = v[:, 1]
         t = v[:, 0].copy()
@@ -219,66 +229,90 @@ def gs_kernel_batch(
         v[:, 0] = (t + bot) % q
         # (t - bot) can be negative; lift by q before the unsigned subtract
         v[:, 1] = (w * ((t + q - bot) % q)) % q
-        if hook is not None:
-            hook(n, stage, batch, perf_counter() - began)
     return values
 
 
 # ---------------------------------------------------------------------------
-# float64 lazy-reduction datapath (q < 2^26)
+# float64 lazy-reduction datapath (q < 2^26): merged radix passes
 # ---------------------------------------------------------------------------
 
-def modmul_float(x: np.ndarray, w, w_over_q, q: float,
-                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``out = x*w - rint(x * (w/q)) * q``: a signed residue of ``x*w``.
+#: widest pass the schedule picks, as ``s`` in radix ``2^s``.  A pass costs
+#: one ``matmul`` whatever its radix, but ``2^s`` multiply-adds per value.
+#: ``multiply_many`` medians on one core of a 2-vCPU x86-64 host (OpenBLAS
+#: 0.3.31) with the width capped at s = 3 / 4 / 5 / 6: 0.128 / 0.103 /
+#: 0.110 / 0.102 ms at n = 256 x 13 (3, 2, 2 and 2 passes), 2.66 / 2.58 /
+#: 2.64 / 2.70 ms at n = 1024 x 64 (4, 3, 2, 2) and 17.1 / 15.8 / 15.3 /
+#: 16.4 ms at n = 4096 x 64 (4, 3, 3, 2).
+MAX_PASS_LOG = 5
 
-    ``x`` and ``w`` hold integers in float64 with ``|x*w| <= 2^52`` (the
-    caller's :class:`FloatSchedule` guarantees it), and ``w_over_q`` is
-    ``fl(w / q)``.  Then:
 
-    * ``x*w`` is an integer below 2^53, so its float product is exact;
-    * ``fl(x * fl(w/q))`` differs from the real ``x*w/q`` by at most
-      ``|x*w/q| * 2^-52 * (1 + 2^-53) <= (1 + 2^-52)/q``, so with
-      ``k = rint(...)``, ``|k - x*w/q| <= 1/2 + 1.01/q``;
-    * hence ``|k*q| <= |x*w| + q/2 + 1.01 < 2^53`` is exact too, and the
-      difference ``r = x*w - k*q = q * (x*w/q - k)`` is an exactly
+def reduce_float(x: np.ndarray, q: float, scratch: np.ndarray) -> np.ndarray:
+    """``x -= rint(x * fl(1/q)) * q`` in place: a signed residue of ``x``.
+
+    ``x`` holds integers in float64 with ``|x| <= 2^52`` (the caller's
+    :class:`FloatSchedule` guarantees it).  Then:
+
+    * ``fl(x * fl(1/q))`` differs from the real ``x/q`` by at most
+      ``|x/q| * 2^-52 * (1 + 2^-53) <= (1 + 2^-52)/q``, so with
+      ``k = rint(...)``, ``|k - x/q| <= 1/2 + 1.01/q``;
+    * hence ``|k*q| <= |x| + q/2 + 1.01 < 2^53`` is exact, and the
+      difference ``r = x - k*q = q * (x/q - k)`` is an exactly
       representable integer with ``|r| <= q/2 + 1.01``, that is
       ``|r| <= q//2 + 1``.
 
-    ``r == x*w (mod q)`` exactly.  ``scratch`` must not alias ``x``;
-    ``out`` may.
+    ``r == x (mod q)`` exactly.  ``scratch`` must not alias ``x``.
     """
-    np.multiply(x, w_over_q, out=scratch)
+    np.multiply(x, 1.0 / q, out=scratch)
     np.rint(scratch, out=scratch)
     np.multiply(scratch, q, out=scratch)
-    np.multiply(x, w, out=out)
-    np.subtract(out, scratch, out=out)
-    return out
+    np.subtract(x, scratch, out=x)
+    return x
 
 
-def canonical_float(x: np.ndarray, q: float) -> np.ndarray:
-    """Map signed residues with ``|x| < q`` to ``[0, q)`` in place."""
-    np.add(x, q, out=x, where=x < 0)
+def canonical_float(x: np.ndarray, q: float,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Map signed residues with ``|x| < q`` to ``[0, q)`` in place.
+
+    ``x -= floor(x * fl(1/q)) * q``: for ``-q < x < 0`` the float quotient
+    lies strictly inside ``(-1, 0)`` and for ``0 <= x < q`` inside
+    ``[0, 1)`` (the rounding error is far below ``1/q``), so the floor is
+    exactly -1 or 0 and every step is exact.  Branch-free: a masked add
+    (``where=x < 0``) mispredicts on residues of random sign and ran 4-6x
+    slower.  ``scratch`` must not alias ``x``.
+    """
+    np.multiply(x, 1.0 / q, out=scratch)
+    np.floor(scratch, out=scratch)
+    np.multiply(scratch, q, out=scratch)
+    np.subtract(x, scratch, out=x)
     return x
 
 
 @dataclass(frozen=True, eq=False)
 class FloatSchedule:
-    """Where the float datapath reduces, for one ``(n, q)``.
+    """How the float datapath runs one ``(n, q)``: its radix passes and
+    where it reduces.
 
-    Values are tracked by a bound on their magnitude.  A twiddle product
-    (``|w| <= q//2``) or an explicit reduction ``x - rint(x/q)*q`` leaves
-    ``|r| <= q//2 + 1`` (:func:`modmul_float`); a butterfly sum or
-    difference adds the bounds of its inputs.  Reductions are inserted
-    exactly where a following product would otherwise pass 2^52.
+    A pass merges ``s`` consecutive butterfly stages into one product with
+    an ``r x r`` matrix per block, ``r = 2^s``, whose entries are centred
+    residues (``|m| <= q//2``).  Each output is a sum of ``r`` products
+    ``m * x``.  While ``r * (q//2) * max|x| <= 2^52`` every product and
+    every partial sum is an integer of magnitude at most 2^52, exact in
+    float64 in whatever order BLAS adds them, with or without FMA, on any
+    number of threads.  Values are tracked by a bound on their magnitude:
+    a pass multiplies it by ``r * (q//2)``, an explicit reduction
+    (:func:`reduce_float`) leaves ``q//2 + 1``.  Reductions are inserted
+    exactly where a following pass or product would otherwise pass 2^52.
 
     Attributes:
         q: the modulus.
-        forward: per Cooley-Tukey stage, in execution order (distances
-            ``n/2 .. 1``): reduce the whole block before the stage.
+        passes: ``(lo, s)`` per pass in stage order: the pass merges the
+            butterfly stages of distances ``2^lo .. 2^(lo + s - 1)``.  The
+            forward runs them last to first, the inverse first to last.
+        forward: per forward pass, in execution order: reduce the block
+            before the pass.
         reduce_operands: reduce ``(a, b)`` before the pointwise product.
-        inverse: per Gentleman-Sande stage, in execution order (distances
-            ``1 .. n/2``): reduce the tops after the stage.
+        inverse: per inverse pass, in execution order: reduce the block
+            before the pass.
         sum_terms: the most products one NTT-domain sum may add.  Its
             operands are canonical, so each product ``<= (q-1)^2 < 2^52``
             is exact and reduces to ``|r| <= q//2 + 1``; ``sum_terms`` such
@@ -287,6 +321,7 @@ class FloatSchedule:
     """
 
     q: int
+    passes: Tuple[Tuple[int, int], ...]
     forward: Tuple[bool, ...]
     reduce_operands: Tuple[bool, bool]
     inverse: Tuple[bool, ...]
@@ -294,147 +329,232 @@ class FloatSchedule:
 
 
 def float_schedule(n: int, q: int) -> FloatSchedule:
-    """Compute and check the reduction schedule of the float datapath.
+    """The float datapath's schedule for ``(n, q)``, checked.
+
+    Picks the fewest passes no wider than :data:`MAX_PASS_LOG` whose radix
+    is provably exact on reduced values (radix 4 for primes near 2^26),
+    balances their widths and gives the narrowest ones the low stages,
+    where a pass has the most blocks and hence the most matrices; then
+    proves it with :func:`check_schedule`, which also refuses any ``q``
+    outside the float datapath.
+    """
+    log_n = stage_plan(n).log_n
+    widest = MAX_PASS_LOG
+    while widest > 1 and ((q // 2) * (q // 2 + 1) << widest) > _FLOAT_CAP:
+        widest -= 1
+    count = -(-log_n // widest)
+    return check_schedule(n, q, sorted(
+        log_n // count + (i < log_n % count) for i in range(count)))
+
+
+def check_schedule(n: int, q: int, widths) -> FloatSchedule:
+    """The schedule that runs passes of ``widths`` (``s`` per pass, low
+    stages first) for ``(n, q)``, with every reduction placed and every
+    bound proved.
 
     Inputs enter both transforms and the NTT-domain sum canonical
-    (``[0, q)``); the scaled output of the inverse and of the pointwise
-    product are signed residues.
-    Raises ``ValueError`` if ``q`` is outside the float datapath or any
-    product of the schedule could reach 2^52.
+    (``[0, q)``).  Raises ``ValueError`` if ``q`` is outside the float
+    datapath, the widths do not cover the ``log2(n)`` stages, or a pass or
+    product could reach 2^52 even on reduced inputs.
     """
     if not 2 <= q < FLOAT_MAX_Q:
         raise ValueError(
             f"the float64 datapath serves 2 <= q < 2^26, got q = {q}")
     log_n = stage_plan(n).log_n
-    tw = q // 2          # centered twiddle magnitude
-    red = q // 2 + 1     # product / reduction output magnitude
+    widths = tuple(int(s) for s in widths)
+    if min(widths, default=0) < 1 or sum(widths) != log_n:
+        raise ValueError(f"pass widths {widths} do not cover the {log_n} "
+                         f"butterfly stages of n = {n}")
+    passes = tuple((sum(widths[:i]), s) for i, s in enumerate(widths))
+    tw = q // 2          # centred matrix entry magnitude
+    red = q // 2 + 1     # reduction output magnitude
 
-    def product(x: int, w: int) -> None:
-        if x * w > _FLOAT_CAP:
-            raise ValueError(
-                f"float datapath product bound {x} * {w} exceeds 2^52 "
-                f"for n = {n}, q = {q}")
+    def run(order, bound: int) -> Tuple[Tuple[bool, ...], int]:
+        reduce = []
+        for lo, s in order:
+            before = (bound * tw << s) > _FLOAT_CAP
+            if before:
+                bound = red
+            if (bound * tw << s) > _FLOAT_CAP:
+                raise ValueError(
+                    f"float datapath pass bound 2^{s} * {tw} * {bound} "
+                    f"exceeds 2^52 for stages {lo}..{lo + s - 1} of "
+                    f"n = {n}, q = {q}")
+            reduce.append(before)
+            bound = bound * tw << s
+        return tuple(reduce), bound
 
-    forward = []
-    bound = q - 1
-    for _ in range(log_n):
-        reduce = bound * tw > _FLOAT_CAP
-        if reduce:
-            bound = red
-        product(bound, tw)
-        forward.append(reduce)
-        bound += red
-
+    forward, bound = run(passes[::-1], q - 1)
     ops = [bound, bound]
     reduce_operands = [False, False]
     for i in range(2):
         if ops[0] * ops[1] > _FLOAT_CAP:
             ops[i] = red
             reduce_operands[i] = True
-    product(ops[0], ops[1])
-
-    inverse = []
-    bound = q - 1
-    for i in range(log_n):
-        product(2 * bound, tw)           # w * (top - bot)
-        top = 2 * bound
-        # the next stage multiplies a difference of two such values; the
-        # last one feeds the n^-1 scale
-        nxt = top * tw * (2 if i + 1 < log_n else 1)
-        reduce = nxt > _FLOAT_CAP
-        inverse.append(reduce)
-        bound = red if reduce else top
-    product(bound, tw)                   # n^-1 scale
-    product(q - 1, q - 1)                # NTT-domain sum: canonical operands
-    return FloatSchedule(q=q, forward=tuple(forward),
+    if ops[0] * ops[1] > _FLOAT_CAP:
+        raise ValueError(f"float datapath product bound {ops[0]} * "
+                         f"{ops[1]} exceeds 2^52 for n = {n}, q = {q}")
+    inverse, _ = run(passes, max(q - 1, red))
+    if (q - 1) * (q - 1) > _FLOAT_CAP:   # NTT-domain sum: canonical operands
+        raise ValueError(f"float datapath product bound ({q} - 1)^2 "
+                         f"exceeds 2^52")
+    return FloatSchedule(q=q, passes=passes, forward=forward,
                          reduce_operands=(reduce_operands[0],
                                           reduce_operands[1]),
-                         inverse=tuple(inverse),
-                         sum_terms=_FLOAT_CAP // red)
+                         inverse=inverse, sum_terms=_FLOAT_CAP // red)
 
 
-def reduce_float(x: np.ndarray, q: float, scratch: np.ndarray) -> np.ndarray:
-    """``x -= rint(x / q) * q`` in place: :func:`modmul_float` with ``w = 1``,
-    so ``|x| <= 2^52`` leaves ``|x| <= q//2 + 1``."""
-    return modmul_float(x, 1.0, 1.0 / q, q, x, scratch)
+def pass_matrices(twiddles, n: int, schedule: FloatSchedule, *,
+                  inverse: bool, scale: int = 1) -> Tuple[np.ndarray, ...]:
+    """The ``(blocks, r, r)`` matrices of every pass, in execution order.
+
+    ``twiddles`` is a stage-laid-out table: the butterfly stage with ``G``
+    groups reads ``twiddles[G:2G]``.  Each pass's matrices are the product
+    of the ``s`` butterfly stages they merge, built by running those
+    stages as row operations on identity matrices, all blocks at once:
+
+    * forward (Cooley-Tukey, ``top + w*bot | top - w*bot``): the pass on
+      stages ``lo .. lo+s-1`` views the ``(n, batch)`` block as
+      ``(n >> (lo+s), r, 2^lo * batch)``;
+    * inverse (Gentleman-Sande, ``top + bot | w*(top - bot)``): the same
+      view, stages run from ``lo`` up.
+
+    The last pass in execution order is also scaled by ``scale`` (the
+    engine folds the inverse's ``n^-1`` in there).
+
+    Entries are centred (``|m| <= q//2``) ``float64``, read-only.  They
+    are built in float64 too, every stage reduced by :func:`reduce_float`
+    (all values stay within ``q//2 + 1``, so every product is below 2^52
+    and exact), then centred exactly.
+    """
+    q = schedule.q
+    qf = float(q)
+    tw = np.asarray(twiddles, dtype=np.int64) % q
+    tw = np.where(tw > q // 2, tw - q, tw).astype(np.float64)
+    order = schedule.passes if inverse else schedule.passes[::-1]
+    result = []
+    for lo, s in order:
+        r = 1 << s
+        blocks = n >> (lo + s)
+        m = np.tile(np.eye(r), (blocks, 1, 1))
+        scratch = np.empty_like(m)
+        for t in range(s):
+            if inverse:      # distance 2^(lo+t): groups of 2^(t+1) rows
+                groups = n >> (lo + t + 1)
+                v = m.reshape(blocks, r >> (t + 1), 2, 1 << t, r)
+            else:            # distance 2^(lo+s-1-t): 2^t groups per block
+                groups = blocks << t
+                v = m.reshape(blocks, 1 << t, 2, r >> (t + 1), r)
+            w = tw[groups:2 * groups].reshape(v.shape[:2] + (1, 1))
+            top, bot = v[:, :, 0].copy(), v[:, :, 1]
+            if inverse:
+                v[:, :, 0] = top + bot
+                v[:, :, 1] = reduce_float(w * (top - bot), qf,
+                                          np.empty_like(top))
+            else:
+                bot = reduce_float(w * bot, qf, np.empty_like(top))
+                v[:, :, 0] = top + bot
+                v[:, :, 1] = top - bot
+            reduce_float(m, qf, scratch)
+        result.append(m)
+    wide = result[-1]
+    np.multiply(wide, float(scale % q), out=wide)
+    reduce_float(wide, qf, np.empty_like(wide))
+    frozen = []
+    for m in result:
+        canonical_float(m, qf, np.empty_like(m))
+        np.subtract(m, qf, out=m, where=m > q // 2)
+        m.setflags(write=False)
+        frozen.append(m)
+    return tuple(frozen)
 
 
-def _scratch(batch: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.empty(batch * n // 2), np.empty(batch * n // 2)
+#: the most multiply-adds (``m * n * k``) one GEMM of a pass may hold.
+#: OpenBLAS runs a GEMM up to 65536 * 4 = 2^18 on the calling thread and
+#: hands larger ones to its worker threads; on a 2-vCPU x86-64 VM that
+#: made the ``16 x 16 @ 16 x 16384`` pass of a 4096 x 64 block take 8 ms
+#: instead of 0.34 ms as sixteen ``16 x 16 @ 16 x 1024`` products.  Host
+#: threads come from row slicing (:mod:`repro.ntt.transform`) instead.
+GEMM_MAX_MACS = 1 << 18
 
 
-def ct_forward_float(values: np.ndarray, zeta: np.ndarray,
-                     zeta_over_q: np.ndarray, schedule: FloatSchedule,
-                     plan: StagePlan | None = None) -> np.ndarray:
-    """Merged Cooley-Tukey forward NTT on a column-major float64 block, in
-    place.
+def _passes(values: np.ndarray, spare: np.ndarray,
+            matrices: Tuple[np.ndarray, ...], passes,
+            reduce: Tuple[bool, ...], q: int, plan: StagePlan | None
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Run ``matrices`` as radix passes over a column-major block.
 
-    Rows enter in natural order and leave in bit-reversed order.  The
-    stage with ``G`` groups (distance ``n / 2G``) reads ``zeta[G:2G]``:
-    ``zeta[k] = phi^brv(k)`` gives the negacyclic transform with the phi
-    twist folded in, ``zeta[G + g] = w^brv(g)`` the cyclic one.  Butterfly
-    sums stay unreduced; ``schedule.forward`` says where to reduce.
+    A pass views the ``(n, batch)`` transpose as ``(blocks, r, rest)`` -
+    one contiguous run of ``rest`` values per row of each block - and
+    multiplies every block by its matrix into the spare block, in one
+    ``matmul`` call whose GEMMs each hold at most :data:`GEMM_MAX_MACS`
+    (``rest`` is cut into equal column chunks where needed); the two
+    blocks then swap roles.
     """
     cols, plan = _columns(values, plan)
+    other, _ = _columns(spare, plan)
+    if other.shape != cols.shape:
+        raise ValueError(f"spare block {spare.shape} does not match the "
+                         f"values block {values.shape}")
     n, batch = cols.shape
     if batch == 0:
-        return values
-    q = float(schedule.q)
-    t_buf, k_buf = _scratch(batch, n)
+        return values, spare
+    qf = float(q)
     hook = _STAGE_HOOK
-    for stage in reversed(range(plan.log_n)):
+    for mats, (lo, _), before in zip(matrices, passes, reduce):
         began = perf_counter() if hook is not None else 0.0
-        groups, distance = plan.shapes[stage]
-        v = cols.reshape(groups, 2, distance, batch)
-        top = v[:, 0]
-        bot = v[:, 1]
-        t = t_buf.reshape(groups, distance, batch)
-        k = k_buf.reshape(groups, distance, batch)
-        if schedule.forward[plan.log_n - 1 - stage]:
-            reduce_float(top, q, k)
-            reduce_float(bot, q, k)
-        w = zeta[groups:2 * groups].reshape(groups, 1, 1)
-        wq = zeta_over_q[groups:2 * groups].reshape(groups, 1, 1)
-        modmul_float(bot, w, wq, q, t, k)
-        np.subtract(top, t, out=bot)
-        np.add(top, t, out=top)
+        if before:
+            reduce_float(cols, qf, other)
+        blocks, r = mats.shape[:2]
+        rest = cols.size // (blocks * r)
+        chunks = 1
+        while r * r * rest > GEMM_MAX_MACS * chunks \
+                and rest % (2 * chunks) == 0:
+            chunks *= 2
+        if chunks == 1:
+            np.matmul(mats, cols.reshape(blocks, r, rest),
+                      out=other.reshape(blocks, r, rest))
+        else:
+            shape = (blocks, r, chunks, rest // chunks)
+            np.matmul(mats[:, None],
+                      cols.reshape(shape).transpose(0, 2, 1, 3),
+                      out=other.reshape(shape).transpose(0, 2, 1, 3))
+        cols, other = other, cols
         if hook is not None:
-            hook(n, stage, batch, perf_counter() - began)
-    return values
+            hook(n, lo, batch, perf_counter() - began)
+    return cols.T, other.T
 
 
-def gs_inverse_float(values: np.ndarray, zeta_inv: np.ndarray,
-                     zeta_inv_over_q: np.ndarray, schedule: FloatSchedule,
-                     plan: StagePlan | None = None) -> np.ndarray:
-    """Gentleman-Sande inverse NTT on a column-major float64 block, in
-    place, unscaled.
+def ct_forward_float(values: np.ndarray, spare: np.ndarray,
+                     matrices: Tuple[np.ndarray, ...],
+                     schedule: FloatSchedule, plan: StagePlan | None = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Merged Cooley-Tukey forward NTT of a column-major float64 block.
 
-    Rows enter in bit-reversed order and leave in natural order, each
-    value ``n`` times the inverse transform.  The stage with ``G`` groups
-    reads ``zeta_inv[G:2G]``, the inverses of the forward table.  Tops
-    stay unreduced; ``schedule.inverse`` says where to reduce them.
+    Rows enter in natural order and leave in bit-reversed order, bounded
+    but unreduced.  ``matrices`` come from :func:`pass_matrices` on a
+    forward table: ``zeta[k] = phi^brv(k)`` gives the negacyclic transform
+    with the phi twist folded in, ``zeta[G + g] = w^brv(g)`` the cyclic
+    one.  ``schedule.forward`` says where to reduce.  ``spare`` is a
+    column-major block of the same shape; the passes alternate between
+    the two.  Returns ``(result, free)``: the block holding the transform
+    and the other one, whose contents are garbage.
     """
-    cols, plan = _columns(values, plan)
-    n, batch = cols.shape
-    if batch == 0:
-        return values
-    q = float(schedule.q)
-    t_buf, k_buf = _scratch(batch, n)
-    hook = _STAGE_HOOK
-    for stage, (groups, distance) in enumerate(plan.shapes):
-        began = perf_counter() if hook is not None else 0.0
-        v = cols.reshape(groups, 2, distance, batch)
-        top = v[:, 0]
-        bot = v[:, 1]
-        t = t_buf.reshape(groups, distance, batch)
-        k = k_buf.reshape(groups, distance, batch)
-        np.subtract(top, bot, out=t)
-        np.add(top, bot, out=top)
-        w = zeta_inv[groups:2 * groups].reshape(groups, 1, 1)
-        wq = zeta_inv_over_q[groups:2 * groups].reshape(groups, 1, 1)
-        modmul_float(t, w, wq, q, bot, k)
-        if schedule.inverse[stage]:
-            reduce_float(top, q, k)
-        if hook is not None:
-            hook(n, stage, batch, perf_counter() - began)
-    return values
+    return _passes(values, spare, matrices, schedule.passes[::-1],
+                   schedule.forward, schedule.q, plan)
+
+
+def gs_inverse_float(values: np.ndarray, spare: np.ndarray,
+                     matrices: Tuple[np.ndarray, ...],
+                     schedule: FloatSchedule, plan: StagePlan | None = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Merged Gentleman-Sande inverse NTT of a column-major float64 block.
+
+    Rows enter in bit-reversed order and leave in natural order, bounded
+    but unreduced.  ``matrices`` come from :func:`pass_matrices` on the
+    inverse of the forward table, with whatever scale (``n^-1``) was
+    folded into the last pass.  ``schedule.inverse`` says where to reduce.
+    ``spare`` and the result are as for :func:`ct_forward_float`.
+    """
+    return _passes(values, spare, matrices, schedule.passes,
+                   schedule.inverse, schedule.q, plan)

@@ -20,10 +20,11 @@ Implementations with identical results:
 * :class:`NttEngine` - the production batched engine used by the PIM
   simulator's functional mode, the crypto layer and the CPU baseline.
   It runs the float64 datapath of :mod:`repro.ntt.batch` for every
-  ``q < 2^26`` - all the paper's moduli - folds the ``phi`` twist into the
-  twiddles and never gathers a row of a product.  Operands that meet many
-  times can stay in its NTT domain (``to_ntt_many``, ``pointwise_sum``,
-  ``from_ntt_many``).
+  ``q < 2^26`` - all the paper's moduli - as a few exact radix-``2^s``
+  matrix passes per transform, folds the ``phi`` twist and ``n^-1`` into
+  the pass matrices and never gathers a row of a product.  Operands that
+  meet many times can stay in its NTT domain (``to_ntt_many``,
+  ``pointwise_sum``, ``from_ntt_many``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ from .batch import (
     float_schedule,
     gs_inverse_float,
     gs_kernel_batch,
-    modmul_float,
+    pass_matrices,
     reduce_float,
     stage_plan,
 )
@@ -187,26 +188,30 @@ def negacyclic_multiply_np(
 #: contiguous row range per core, each range keeping at least half this
 #: many elements; smaller blocks, and every block on a 1-core host, run
 #: whole on the calling thread.  numpy releases the GIL inside the float
-#: kernel's ufuncs, so the ranges run in parallel - the software analogue
-#: of the paper's side-by-side superbanks (Section III-D.2).
+#: kernel's ufuncs and ``matmul`` calls, and every GEMM of a pass stays
+#: below OpenBLAS's own threading threshold (``GEMM_MAX_MACS``), so the
+#: ranges run in parallel - the software analogue of the paper's
+#: side-by-side superbanks (Section III-D.2).
 #:
-#: ``multiply_many`` medians on a 2-vCPU x86-64 host, whole block vs two
-#: slices, outputs bit-identical:
+#: ``multiply_many`` medians on the merged-radix kernel, 2-vCPU x86-64
+#: host, whole block vs two slices alternated call by call, outputs
+#: bit-identical:
 #:
-#: ===========  ========  =======  ======  =====================
-#: n x rows     elements  whole    sliced
-#: ===========  ========  =======  ======  =====================
-#: 256 x 64       16,384  2.06 ms  3.39    0.61x (GIL-bound)
-#: 2048 x 16      32,768  5.19     5.73    0.90x
-#: 1024 x 64      65,536  8.33     6.54    1.27x
-#: 4096 x 16      65,536  8.00     7.76    1.03x
-#: 256 x 512     131,072  14.5     8.75    1.66x
-#: 1024 x 128    131,072  14.5     10.7    1.35x
-#: 2048 x 64     131,072  17.6     11.2    1.57x
-#: 4096 x 64     262,144  45.7     27.2    1.68x
-#: ===========  ========  =======  ======  =====================
+#: ===========  ========  ========  ======  =====================
+#: n x rows     elements  whole     sliced
+#: ===========  ========  ========  ======  =====================
+#: 256 x 64       16,384  0.25 ms   0.33    0.77x (GIL-bound)
+#: 2048 x 16      32,768  0.89      0.94    0.95x
+#: 1024 x 64      65,536  1.82      1.75    1.04x
+#: 4096 x 16      65,536  2.08      2.10    0.99x
+#: 256 x 512     131,072  3.50      2.43    1.44x
+#: 1024 x 128    131,072  3.55      2.70    1.31x
+#: 2048 x 64     131,072  5.50      4.28    1.28x
+#: 4096 x 64     262,144  13.8      10.8    1.27x
+#: 8192 x 64     524,288  29.1      24.3    1.19x
+#: ===========  ========  ========  ======  =====================
 #:
-#: From 2^17 elements every degree gains; below 2^16 every degree loses.
+#: From 2^17 elements every degree gains; up to 2^16 none does.
 #: There is deliberately no knob: no environment variable, constructor
 #: argument or per-call flag.
 SLICE_MIN_ELEMENTS = 1 << 17
@@ -257,20 +262,6 @@ def row_slices(rows: int, n: int) -> int:
 # Engine facade
 # ---------------------------------------------------------------------------
 
-def _signed_table(values, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Residues as centered float64 (``|w| <= q//2``) plus ``fl(w / q)``,
-    both read-only."""
-    w = np.asarray(values, dtype=np.int64)
-    w = np.where(w > q // 2, w - q, w).astype(np.float64)
-    return _frozen(w), _frozen(w / q)
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """Mark an engine table read-only: slices on several threads read it."""
-    table.setflags(write=False)
-    return table
-
-
 def _stage_layout(twiddles_bitrev: Sequence[int]) -> List[int]:
     """Lay out a bit-reversed cyclic twiddle table so the stage with ``G``
     groups reads its ``G`` twiddles from ``[G:2G]`` (index 0 unused)."""
@@ -291,8 +282,9 @@ class NttEngine:
 
     Besides the per-pair ``forward``/``inverse``/``multiply``, the engine
     offers ``forward_many``/``inverse_many``/``multiply_many`` over
-    ``(batch, n)`` blocks: one set of numpy stage operations covers the
-    whole batch (the software analogue of the paper's parallel superbanks).
+    ``(batch, n)`` blocks: one set of numpy operations - a few radix
+    passes, one ``matmul`` each - covers the whole batch (the software
+    analogue of the paper's parallel superbanks).
     Single-pair calls are batches of one.  Blocks past
     :data:`SLICE_MIN_ELEMENTS` are further split by rows across the host's
     cores; each public call validates on the calling thread, and the row
@@ -324,16 +316,33 @@ class NttEngine:
         self._plan: StagePlan = stage_plan(n)
         self._schedule = float_schedule(n, q)
         rev = self._plan.bitrev
-        #: negacyclic tables, phi folded in: zeta[k] = phi^brv(k)
-        self._zeta = _signed_table(np.asarray(params.phi_powers())[rev], q)
-        self._zeta_inv = _signed_table(
-            np.asarray(params.phi_inv_powers())[rev], q)
-        #: cyclic tables for the standalone transforms
-        self._cyclic = _signed_table(
-            _stage_layout(params.forward_twiddles_bitrev()), q)
-        self._cyclic_inv = _signed_table(
-            _stage_layout(params.inverse_twiddles_bitrev()), q)
-        self._n_inv = _signed_table([params.n_inv], q)
+        #: negacyclic passes, phi folded in: zeta[k] = phi^brv(k)
+        self._zeta = self._matrices(np.asarray(params.phi_powers())[rev],
+                                    inverse=False)
+        self._zeta_inv = self._matrices(
+            np.asarray(params.phi_inv_powers())[rev], inverse=True)
+
+    def _matrices(self, table, inverse: bool) -> Tuple[np.ndarray, ...]:
+        """The pass matrices of a stage-laid-out twiddle table, ``n^-1``
+        folded into the inverse's last pass."""
+        return pass_matrices(table, self.n, self._schedule, inverse=inverse,
+                             scale=self.params.n_inv if inverse else 1)
+
+    # The cyclic passes serve only the standalone transforms, so they are
+    # built on first use: products and NTT-domain operands never read them.
+    # Two threads racing on the first use build identical read-only tables.
+
+    @cached_property
+    def _cyclic(self) -> Tuple[np.ndarray, ...]:
+        return self._matrices(
+            _stage_layout(self.params.forward_twiddles_bitrev()),
+            inverse=False)
+
+    @cached_property
+    def _cyclic_inv(self) -> Tuple[np.ndarray, ...]:
+        return self._matrices(
+            _stage_layout(self.params.inverse_twiddles_bitrev()),
+            inverse=True)
 
     @classmethod
     def for_degree(cls, n: int) -> "NttEngine":
@@ -402,9 +411,11 @@ class NttEngine:
 
         Row ``r`` of the result is ``ntt_gs`` of the phi-twisted row in
         bit-reversed order: the negacyclic forward transform of
-        :meth:`multiply_many`, as canonical ``uint64`` residues.
+        :meth:`multiply_many`, as canonical ``uint64`` residues.  The
+        result is row-contiguous (C order), so the broadcast products and
+        sums of :meth:`pointwise_sum` run on contiguous rows.
         """
-        return self._run(self._to_ntt_rows, self._rows(values))
+        return self._run(self._to_ntt_rows, self._rows(values), order="C")
 
     def from_ntt_many(self, values: np.ndarray) -> np.ndarray:
         """Every NTT-domain row of a ``(batch, n)`` block back to
@@ -437,12 +448,11 @@ class NttEngine:
             raise ValueError(
                 f"{terms} terms exceed the float datapath's sum bound of "
                 f"{self._schedule.sum_terms} for q = {self.q}")
-        q = np.uint64(self.q)
-        products = np.multiply(np.remainder(a, q).astype(np.float64),
-                               np.remainder(b, q).astype(np.float64))
+        products = np.multiply(self._residues(a, np.empty(a.shape)),
+                               self._residues(b, np.empty(b.shape)))
         reduce_float(products, float(self.q), np.empty_like(products))
         total = products.sum(axis=-2)
-        return self._finish_float(total, np.empty_like(total))
+        return self._emit(self._canonical(total, np.empty_like(total)), None)
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The caller's block as ``uint64``, shape-checked."""
@@ -453,8 +463,8 @@ class NttEngine:
             )
         return arr
 
-    def _run(self, body: Callable[..., np.ndarray], *blocks: np.ndarray
-             ) -> np.ndarray:
+    def _run(self, body: Callable[..., np.ndarray], *blocks: np.ndarray,
+             order: str = "F") -> np.ndarray:
         """``body`` over the :func:`row_slices` row ranges of ``blocks``.
 
         A whole block returns what ``body(*blocks, None)`` allocates:
@@ -465,15 +475,14 @@ class NttEngine:
         ``body(*row_ranges, out_range)``: the calling thread runs the first
         range itself and the pool the rest.  Bodies never re-enter the
         public methods, so a range never re-slices (and never waits on its
-        own pool).
+        own pool).  ``order`` is the layout of a sliced result: the one
+        ``body`` returns for a whole block.
         """
         rows = blocks[0].shape[0]
         slices = row_slices(rows, self.n)
         if slices == 1:
             return body(*blocks, None)
-        # column-major like a whole block's result, so each range's
-        # canonical residues copy out without a transpose
-        out = np.empty((rows, self.n), dtype=np.uint64, order="F")
+        out = np.empty((rows, self.n), dtype=np.uint64, order=order)
         bounds = [rows * i // slices for i in range(slices + 1)]
 
         def run(lo: int, hi: int) -> None:
@@ -489,81 +498,100 @@ class NttEngine:
             future.result()
         return out
 
+    def _residues(self, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``arr mod q`` written into the float64 array ``out``."""
+        if arr.size and arr.max() >= self.q:
+            np.remainder(arr, np.uint64(self.q), out=out)
+        else:  # already canonical: a cast, about 4x cheaper than uint64 %
+            np.copyto(out, arr, casting="unsafe")
+        return out
+
     def _as_batch(self, arr: np.ndarray) -> np.ndarray:
         """One reduction mod ``q`` into a fresh column-major float64 block
-        (the layout every kernel stage runs on)."""
+        (the layout every kernel pass runs on)."""
         # written as the C-contiguous (n, batch) transpose: numpy then walks
         # the output contiguously, which is the cheaper side of the transpose
-        cols = np.empty(arr.shape[::-1], dtype=np.float64)
-        np.remainder(arr.T, np.uint64(self.q), out=cols)
-        return cols.T
+        return self._residues(arr.T, np.empty(arr.shape[::-1])).T
 
-    def _finish_float(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Bounded signed values -> canonical uint64 residues."""
+    def _canonical(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Bounded signed float values -> canonical residues, in place;
+        ``scratch`` is a spare block of ``x``'s shape."""
         q = float(self.q)
-        return canonical_float(reduce_float(x, q, scratch), q).astype(np.uint64)
+        return canonical_float(reduce_float(x, q, scratch), q, scratch)
 
     @staticmethod
     def _emit(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        """Canonical residues as ``uint64`` (cast only if float), or
-        written into the caller's row range of a sliced result."""
+        """Canonical residues as ``uint64`` in ``x``'s layout (cast only if
+        float), or written into the caller's row range of a sliced
+        result."""
         if out is None:
             return x.astype(np.uint64, copy=False)
         np.copyto(out, x, casting="unsafe")
         return out
 
     # -- float-resident bodies ----------------------------------------------
+    #
+    # Each body allocates its float blocks once and hands the spare of one
+    # step to the next: a 4096 x 64 multiply that allocated a fresh block
+    # per step page-faulted about 2000 times a call, most of it returning
+    # to the allocator's trimmed heap top.
 
-    def _forward(self, values: np.ndarray, tables) -> np.ndarray:
-        """Rows mod ``q`` through the Cooley-Tukey forward on ``tables``: a
-        column-major float64 block in bit-reversed order, bounded but
-        unreduced."""
+    def _forward(self, values: np.ndarray, matrices,
+                 spare: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows mod ``q`` through the Cooley-Tukey passes of ``matrices``:
+        ``(work, free)``, ``work`` a column-major float64 block in
+        bit-reversed order, bounded but unreduced."""
         work = self._as_batch(values)
-        ct_forward_float(work, *tables, self._schedule, self._plan)
-        return work
+        if spare is None:
+            spare = np.empty_like(work)
+        return ct_forward_float(work, spare, matrices, self._schedule,
+                                self._plan)
 
-    def _inverse(self, work: np.ndarray, tables, scratch: np.ndarray,
+    def _inverse(self, work: np.ndarray, spare: np.ndarray, matrices,
                  out: Optional[np.ndarray]) -> np.ndarray:
         """A bit-reversed float64 block (``|x| <= q - 1``) through the
-        Gentleman-Sande inverse on ``tables`` and the ``n^-1`` scale to
-        canonical residues; ``scratch`` is a spare block of its shape."""
-        q = float(self.q)
-        gs_inverse_float(work, *tables, self._schedule, self._plan)
-        modmul_float(work, *self._n_inv, q, work, scratch)
-        return self._emit(canonical_float(work, q), out)
+        Gentleman-Sande passes of ``matrices``, ``n^-1`` folded into the
+        last, to canonical residues; ``spare`` is a free block of its
+        shape."""
+        work, spare = gs_inverse_float(work, spare, matrices,
+                                       self._schedule, self._plan)
+        return self._emit(self._canonical(work, spare), out)
 
     def _forward_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
-        work = self._forward(values, self._cyclic)
-        spectrum = self._finish_float(work, np.empty_like(work))
+        spectrum = self._canonical(*self._forward(values, self._cyclic))
         return self._emit(bitrev_gather_rows(spectrum, self._plan), out)
 
     def _inverse_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
         work = bitrev_gather_rows(self._as_batch(values), self._plan)
-        return self._inverse(work, self._cyclic_inv, np.empty_like(work), out)
+        return self._inverse(work, np.empty_like(work), self._cyclic_inv,
+                             out)
 
     def _to_ntt_rows(self, values: np.ndarray,
                      out: Optional[np.ndarray]) -> np.ndarray:
-        work = self._forward(values, self._zeta)
-        return self._emit(self._finish_float(work, np.empty_like(work)), out)
+        hat = self._canonical(*self._forward(values, self._zeta))
+        if out is None:
+            # row-contiguous, so broadcast products and sums over NTT-domain
+            # rows run on contiguous runs; the cast does the transpose
+            return np.ascontiguousarray(hat, dtype=np.uint64)
+        return self._emit(hat, out)
 
     def _from_ntt_rows(self, values: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
         work = self._as_batch(values)
-        return self._inverse(work, self._zeta_inv, np.empty_like(work), out)
+        return self._inverse(work, np.empty_like(work), self._zeta_inv, out)
 
     def _multiply_rows(self, a: np.ndarray, b: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
         q = float(self.q)
-        a2 = self._forward(a, self._zeta)
-        b2 = self._forward(b, self._zeta)
-        if any(self._schedule.reduce_operands):
-            scratch = np.empty_like(a2)
-            for block, reduce in zip((a2, b2), self._schedule.reduce_operands):
-                if reduce:
-                    reduce_float(block, q, scratch)
-        # pointwise product in bit-reversed order; b2 becomes scratch
+        a2, free = self._forward(a, self._zeta)
+        b2, free = self._forward(b, self._zeta, free)
+        for block, reduce in zip((a2, b2), self._schedule.reduce_operands):
+            if reduce:
+                reduce_float(block, q, free)
+        # pointwise product in bit-reversed order; b2 is then free too
         np.multiply(a2, b2, out=a2)
-        reduce_float(a2, q, b2)
-        return self._inverse(a2, self._zeta_inv, b2, out)
+        reduce_float(a2, q, free)
+        return self._inverse(a2, b2, self._zeta_inv, out)

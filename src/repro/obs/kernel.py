@@ -1,27 +1,31 @@
-"""Kernel-level stage profiling via the batch-NTT stage hook.
+"""Kernel-level pass profiling via the batch-NTT stage hook.
 
 The serving spans stop at "shard-execute"; below that, the wall time is
-the vectorised Gentleman-Sande stage loops in :mod:`repro.ntt.batch`.
-Those loops expose a module-level hook (:func:`repro.ntt.batch.
-set_stage_hook`) that fires once per butterfly stage with
-``(n, stage, batch, seconds)``; :class:`KernelProfiler` aggregates the
+the float64 NTT kernels in :mod:`repro.ntt.batch`, which run the
+butterfly stages merged into a few radix-``2^s`` passes (one exact
+``matmul`` each).  The kernels expose a module-level hook
+(:func:`repro.ntt.batch.set_stage_hook`) that fires once per radix pass
+with ``(n, stage, batch, seconds)``, ``stage`` the log2 of the pass's
+smallest butterfly distance; :class:`KernelProfiler` aggregates the
 stream into per-``(n, stage)`` statistics and renders them in the house
-``breakdown()`` style.
+``breakdown()`` style.  A cell is therefore one pass, and the forward and
+inverse passes over the same stages share it: at n = 256 the paper's
+moduli run two passes (stages 0 and 4), at n = 4096 three (0, 4 and 8).
 
-The hook is a single ``is not None`` branch per *stage* (about
-``log2(n)`` checks per transform), so an uninstalled profiler costs
-nothing measurable; install it only for profiling runs:
+The hook is a single ``is not None`` branch per *pass* (two or three
+checks per transform at the paper's degrees), so an uninstalled profiler
+costs nothing measurable; install it only for profiling runs:
 
     with KernelProfiler() as prof:
         engine.forward_many(batch)
     print(prof.breakdown())
 
 A block that :class:`~repro.ntt.transform.NttEngine` splits across host
-cores fires the hook once per stage *per row slice*, from several threads
+cores fires the hook once per pass *per row slice*, from several threads
 at once.  Cells therefore count slices, not public calls, and their
-seconds are summed over threads: per-stage seconds stay a per-core cost
-(a butterfly costs the same however many cores share the block), while
-the wall time of the call shrinks.
+seconds are summed over threads: per-pass seconds stay a per-core cost
+(a pass costs the same however many cores share the block), while the
+wall time of the call shrinks.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ __all__ = ["KernelProfiler"]
 
 
 class KernelProfiler:
-    """Aggregates batch-NTT stage timings; context manager installs it.
+    """Aggregates batch-NTT radix-pass timings; context manager installs
+    it.
 
-    Thread-safe: sliced kernel calls report stages from pool threads, and
-    several callers may share one profiler.  Stage seconds are summed over
-    threads (see the module docstring).
+    Cells are keyed ``(n, stage)``, ``stage`` the lowest butterfly stage a
+    pass merges.  Thread-safe: sliced kernel calls report passes from pool
+    threads, and several callers may share one profiler.  Pass seconds are
+    summed over threads (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -94,13 +100,15 @@ class KernelProfiler:
 
     def stages(self, n: Optional[int] = None) -> Dict[Tuple[int, int],
                                                       Dict[str, float]]:
-        """Per-(n, stage) stats, optionally filtered to one degree."""
+        """Per-(n, stage) stats - one cell per radix pass - optionally
+        filtered to one degree."""
         return {key: {"calls": calls, "rows": rows, "seconds": seconds}
                 for key, (calls, rows, seconds) in self._snapshot()
                 if n is None or key[0] == n}
 
     def breakdown(self) -> str:
-        """Per-stage wall-time table (house breakdown() style)."""
+        """Per-pass wall-time table (house breakdown() style); a row's
+        ``stage`` is the lowest butterfly stage of its pass."""
         cells = self._snapshot()
         total = sum(cell[2] for _, cell in cells)
         lines = [f"kernel stage breakdown ({total * 1e3:.3f} ms total):"]

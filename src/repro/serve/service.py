@@ -37,6 +37,7 @@ would stream as back-to-back 32k segments, are refused at admission.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -376,8 +377,7 @@ class CryptoPimService:
                     async with self.fleet.lease(
                             n, route_info=route_info) as shard:
                         mults = self._mult_equivalents(kind, pendings)
-                        timing = shard.gate.timeline.dispatch(
-                            n, mults * len(pendings))
+                        timing = shard.gate.timeline.dispatch(n, sum(mults))
                         exec_start = loop.time()
                         started = time.perf_counter()
                         try:
@@ -411,8 +411,11 @@ class CryptoPimService:
                 len(pendings))
             self.metrics.histogram("batch.occupancy", unit="frac").record(
                 len(pendings) / state.window.capacity)
-            for i, (pending, value) in enumerate(zip(pendings, values)):
-                cycle_idx = (i + 1) * mults - 1
+            # a member completes with the last of its own multiplications
+            ends = itertools.accumulate(mults)
+            for i, (pending, value, end) in enumerate(
+                    zip(pendings, values, ends)):
+                cycle_idx = end - 1
                 result = ServeResult(
                     request_id=pending.request.request_id,
                     kind=kind,
@@ -497,20 +500,25 @@ class CryptoPimService:
     # -- handlers -------------------------------------------------------------
 
     def _mult_equivalents(self, kind: RequestKind,
-                          pendings: List[_Pending]) -> int:
-        """Chip multiplications charged per request of this batch."""
+                          pendings: List[_Pending]) -> List[int]:
+        """Chip multiplications charged to each request of this batch, in
+        batch order."""
         if kind in (RequestKind.KYBER_ENCAPS,):
             kem, _, _ = self.kyber()
-            return kem.pke.multiplications_per_encrypt()
-        if kind is RequestKind.KYBER_DECAPS:
+            each = kem.pke.multiplications_per_encrypt()
+        elif kind is RequestKind.KYBER_DECAPS:
             kem, _, _ = self.kyber()
-            return kem.pke.k
-        if kind in (RequestKind.BGV_MULTIPLY, RequestKind.BFV_MULTIPLY):
-            x, y = pendings[0].request.payload
-            return len(x.parts) * len(y.parts)
-        # POLYMUL and each NTT direction occupy one pipeline pass; adds are
-        # vector ops an order cheaper but still charged one slot
-        return 1
+            each = kem.pke.k
+        elif kind in (RequestKind.BGV_MULTIPLY, RequestKind.BFV_MULTIPLY):
+            # a tensor product costs one multiplication per pair of parts,
+            # and members of one window may carry different part counts
+            return [len(x.parts) * len(y.parts)
+                    for x, y in (p.request.payload for p in pendings)]
+        else:
+            # POLYMUL and each NTT direction occupy one pipeline pass; adds
+            # are vector ops an order cheaper but still charged one slot
+            each = 1
+        return [each] * len(pendings)
 
     def _execute(self, kind: RequestKind, n: int,
                  pendings: List[_Pending]) -> List[Any]:

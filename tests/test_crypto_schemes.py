@@ -176,6 +176,11 @@ class TestKyberBatch:
             assert _same_ciphertext(ct, ct1) and key == key1
         assert keys == keys1 == [key for _, key in batch]
 
+    def test_key_hats_are_row_contiguous(self):
+        # the NTT-domain sums broadcast against the cached key rows
+        pk, sk = KyberKem(k=2, rng=_rng(90)).keygen()
+        assert pk.hat.flags.c_contiguous and sk.hat.flags.c_contiguous
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_encapsulate_is_batch_of_one(self, k, backend):
         kem = KyberKem(k=k, backend=backend, rng=_rng(60 + k))

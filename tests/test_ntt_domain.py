@@ -54,6 +54,12 @@ class TestTransforms:
             twisted = [(int(x) * f) % p.q for x, f in zip(a[r], p.phi_powers())]
             assert np.array_equal(hat[r], np.asarray(ntt_gs(twisted, p))[rev])
 
+    def test_rows_are_row_contiguous(self, engine, rng):
+        # pointwise_sum broadcasts over NTT-domain rows: C order keeps
+        # each row one contiguous run
+        assert engine.to_ntt_many(block(engine.q, (5, N), rng)).flags \
+            .c_contiguous
+
     def test_inputs_reduce_mod_q(self, engine, rng):
         a = rng.integers(0, 1 << 63, (4, N), dtype=np.uint64)
         reduced = a % np.uint64(engine.q)
@@ -166,7 +172,9 @@ class TestSliced:
             hat = eng.to_ntt_many(a)
             back = eng.from_ntt_many(hat)
         assert row_slices(rows, n) == 2
-        assert np.array_equal(eng.to_ntt_many(a), hat)
+        sliced = eng.to_ntt_many(a)
+        assert sliced.flags.c_contiguous and hat.flags.c_contiguous
+        assert np.array_equal(sliced, hat)
         assert np.array_equal(eng.from_ntt_many(hat), back)
         assert transform._POOL is not None
         assert np.array_equal(back, a % np.uint64(eng.q))

@@ -417,7 +417,7 @@ class TestKernelProfiler:
         with KernelProfiler() as prof:
             engine.forward_many(block)
         stages = prof.stages(256)
-        assert stages  # one cell per butterfly stage
+        assert stages  # one cell per radix pass
         assert all(key[0] == 256 for key in stages)
         assert all(cell["rows"] >= 4 for cell in stages.values())
         assert prof.total_s > 0

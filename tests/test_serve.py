@@ -8,7 +8,7 @@ import pytest
 
 from repro.arch.chip import CryptoPimChip
 from repro.core.pipeline import PipelineModel
-from repro.core.scheduler import RECONFIGURATION_CYCLES
+from repro.core.scheduler import RECONFIGURATION_CYCLES, chip_completion_cycles
 from repro.ntt.transform import NttEngine
 from repro.serve import (
     PROFILES,
@@ -484,6 +484,42 @@ class TestServiceCorrectness:
                 expected = scheme.decrypt(sk, scheme.multiply(x, y))
                 assert np.array_equal(scheme.decrypt(sk, product.value),
                                       expected)
+
+        serve(scenario())
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_mixed_degree_he_window_charges_each_member(self, wide_first):
+        """A 3-part x 2-part tensor (6 products) and a 2 x 2 one (4) in one
+        window are charged 10 chip multiplications in either arrival
+        order, and each member completes with its own last product."""
+        async def scenario():
+            rng = np.random.default_rng(0x3A2)
+            config = ServiceConfig(max_batch_wait_s=0.5)
+            async with CryptoPimService(config) as service:
+                scheme, sk = service.bgv(1024)
+                x, y = (scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
+                        for _ in range(2))
+                wide = scheme.multiply(x, y)
+                assert len(wide.parts) == 3
+                pairs = [(wide, y), (x, y)]
+                if not wide_first:
+                    pairs.reverse()
+                results = await asyncio.gather(*(
+                    service.submit(request_for(
+                        RequestKind.BGV_MULTIPLY, n=1024, payload=pair))
+                    for pair in pairs))
+                timeline = service.gate.timeline
+            assert [r.batch_size for r in results] == [2, 2]
+            assert timeline.batches == 1 and timeline.items == 10
+            config_n = timeline.chip.configure(1024)
+            cycles = chip_completion_cycles(config_n, 10)
+            ends = [6, 10] if wide_first else [4, 10]
+            assert [r.completion_cycle for r in results] == \
+                [cycles[end - 1] for end in ends]
+            for result, (a, b) in zip(results, pairs):
+                assert np.array_equal(
+                    scheme.decrypt(sk, result.value),
+                    scheme.decrypt(sk, scheme.multiply(a, b)))
 
         serve(scenario())
 

@@ -219,7 +219,8 @@ class TestConcurrency:
         with KernelProfiler() as prof:
             run_callers(caller, 2)
         stages = prof.stages(n)
-        assert sorted(stage for _, stage in stages) == list(range(8))
+        # one cell per radix pass, keyed by its lowest butterfly stage
+        assert sorted(stage for _, stage in stages) == [0, 4]
         for cell in stages.values():
             assert cell["calls"] == 2 * calls * slices
             assert cell["rows"] == 2 * calls * rows
