@@ -1,8 +1,9 @@
 """The adaptive batching window.
 
 CryptoPIM's pipelined superbanks only pay off when a dispatch carries many
-polynomials (PR 1 measured ~8x for ``multiply_many`` over per-pair calls at
-n=1024), but a user-facing service cannot wait forever for a full batch.
+polynomials (a full window at n=1024 costs the chip the same cycles as a
+single product), but a user-facing service cannot wait forever for a full
+batch.
 The batching window closes on whichever comes first:
 
 * **capacity** - the batch reaches the chip's parallel-superbank count for

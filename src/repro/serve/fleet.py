@@ -27,8 +27,8 @@ Routing policy (``affinity``, the default):
    for that degree.
 
 ``round_robin`` ignores configuration state entirely and is kept as the
-benchmark strawman (`bench_sharding.py` shows it reconfigures far more
-often on degree-mixed traffic).
+strawman (``tests/test_fleet.py`` asserts it reconfigures more often per
+batch than affinity on degree-mixed traffic).
 
 Drain / failover: :meth:`ChipFleet.mark_unhealthy` removes a shard from
 routing immediately.  A window that already *holds* the shard's gate
@@ -36,7 +36,7 @@ completes normally (results are computed in software; the shard is
 drained, not vaporised).  A window that picked the shard but is still
 waiting on its lock re-routes to a healthy sibling on wake-up - no
 request is ever lost or executed twice, which ``tests/test_fleet.py``
-and the benchmark's drain scenario both assert.
+asserts.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ChipFleet:
     """N independent chip shards behind one routing policy.
 
     Args:
-        num_chips: shard count (1 degenerates to PR 2's single chip).
+        num_chips: shard count (1 is a single shared chip).
         chip: template chip; the fleet holds ``num_chips`` replicas of
             its bank budget / pipeline variant (``CryptoPimChip.replicate``).
         policy: ``"affinity"`` (degree-affinity + power-of-two-choices +

@@ -163,20 +163,6 @@ class LoadReport:
     latency: Dict[str, float]     # p50/p95/p99/mean/max over completed e2e
     mean_batch_size: float
 
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "mode": self.mode,
-            "offered": self.offered,
-            "offered_rate_per_s": self.offered_rate_per_s,
-            "completed": self.completed,
-            "rejected": dict(self.rejected),
-            "wall_s": self.wall_s,
-            "throughput_per_s": self.throughput_per_s,
-            "latency_s": dict(self.latency),
-            "mean_batch_size": self.mean_batch_size,
-        }
-
     def render(self) -> str:
         shed = sum(self.rejected.values())
         return (

@@ -2,9 +2,8 @@
 
 Follows the house style of :mod:`repro.core.tracing`: small frozen-ish
 dataclasses, a machine-readable ``snapshot()`` and a human ``breakdown()``
-that renders one aligned table per section.  Everything is exportable as
-JSON so benchmark runs leave a machine-readable trail
-(``BENCH_serving.json``) the same way the throughput benchmark does.
+that renders one aligned table per section.  ``snapshot()`` is plain
+JSON; the trace export (:mod:`repro.obs.export`) embeds it.
 
 No external metrics dependency: percentile math is a sorted-array lookup
 (numpy), which is exact - these are simulation-sized sample sets, not

@@ -5,7 +5,7 @@ runs them through admission control (:mod:`repro.serve.admission`), parks
 them in bounded per-parameter-set priority queues, and drains each queue
 with an adaptive batch window (:mod:`repro.serve.batcher`).  Closed
 batches race for the one simulated chip (:mod:`repro.serve.scheduler`)
-and execute through the *batched* kernel entry points grown in PR 1 -
+and execute through the *batched* kernel entry points -
 ``CryptoPIM.multiply_batch``, ``NttEngine.forward_many``/``inverse_many``,
 ``KyberKem.encapsulate_many``, ``BgvScheme.multiply_many``,
 ``BfvScheme.multiply_many`` - so one kernel dispatch serves a whole
@@ -77,6 +77,15 @@ _HE_PAIR_KINDS = (RequestKind.BGV_ADD, RequestKind.BGV_MULTIPLY,
                   RequestKind.BFV_ADD, RequestKind.BFV_MULTIPLY)
 
 
+def _coefficients(values: Any, n: int) -> np.ndarray:
+    """``values`` as a length-``n`` uint64 vector (no copy if it already
+    is one); raises ``ValueError``, ``TypeError`` or ``OverflowError``."""
+    vector = np.asarray(values, dtype=np.uint64)
+    if vector.shape != (n,):
+        raise ValueError(f"expected shape ({n},), got {vector.shape}")
+    return vector
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """All serving knobs in one place.
@@ -96,7 +105,7 @@ class ServiceConfig:
         fidelity: accelerator fidelity for POLYMUL execution.
         seed: deterministic seed for service-held keys and KEM noise.
         num_chips: size of the simulated chip fleet; 1 (the default) is
-            PR 2's single shared chip, unchanged.
+            one shared chip.
         routing: fleet routing policy, ``"affinity"`` (degree-affinity +
             power-of-two-choices + spill) or ``"round_robin"``.
         tracing: thread a :mod:`repro.obs` trace through every request
@@ -106,8 +115,6 @@ class ServiceConfig:
         trace_capacity: reservoir size of retained traces (aggregates
             stay exact regardless).
         trace_sample_rate: fraction of traces offered to the reservoir.
-        trace_keep_slowest: slowest traces always retained (tail-latency
-            forensics survive sampling).
     """
 
     batch_capacity: Optional[int] = None
@@ -124,7 +131,6 @@ class ServiceConfig:
     tracing: bool = False
     trace_capacity: int = 1024
     trace_sample_rate: float = 1.0
-    trace_keep_slowest: int = 32
 
     def admission_policy(self) -> AdmissionPolicy:
         return AdmissionPolicy(
@@ -141,6 +147,7 @@ class _Pending:
     """A queued request plus its completion plumbing."""
 
     request: ServeRequest
+    payload: Any              # as admission coerced it for the handlers
     enqueued_at: float
     future: "asyncio.Future[Union[ServeResult, Rejection]]"
     trace: Span = NULL_SPAN
@@ -159,8 +166,8 @@ class _QueueState:
 class CryptoPimService:
     """Async multi-tenant front door over a fleet of simulated chips.
 
-    ``num_chips=1`` (the default) behaves exactly like PR 2's single
-    shared chip; larger fleets shard batch windows across shards via
+    ``num_chips=1`` (the default) serves every window on one shared
+    chip; larger fleets shard batch windows across shards via
     :class:`~repro.serve.fleet.ChipFleet`.
     """
 
@@ -172,7 +179,6 @@ class CryptoPimService:
             self.journal: Optional[TraceJournal] = TraceJournal(
                 capacity=config.trace_capacity,
                 sample_rate=config.trace_sample_rate,
-                keep_slowest=config.trace_keep_slowest,
                 seed=config.seed)
             self.tracer: Tracer = Tracer(journal=self.journal)
         else:
@@ -193,7 +199,7 @@ class CryptoPimService:
     @property
     def gate(self) -> ChipGate:
         """Shard 0's gate - the single-chip compatibility handle (with
-        ``num_chips=1`` this is *the* chip, exactly as in PR 2)."""
+        ``num_chips=1`` this is *the* chip)."""
         return self.fleet.gate
 
     # -- execution contexts (also used by the load generator) ---------------
@@ -232,11 +238,20 @@ class CryptoPimService:
 
     # -- admission -----------------------------------------------------------
 
-    def _validate(self, request: ServeRequest) -> Optional[Rejection]:
-        def refuse(reason: RejectReason, detail: str) -> Rejection:
-            return Rejection(request_id=request.request_id,
-                             kind=request.kind, n=request.n,
-                             reason=reason, detail=detail)
+    def _validate(self, request: ServeRequest,
+                  ) -> Tuple[Any, Optional[Rejection]]:
+        """``(payload, None)`` for a servable request, else ``(None,
+        rejection)``.
+
+        POLYMUL and NTT operands come back as length-``n`` uint64 vectors,
+        so an operand the kernel could not take is refused here, alone,
+        instead of failing the whole batch window it would have joined.
+        """
+        def refuse(reason: RejectReason,
+                   detail: str) -> Tuple[Any, Optional[Rejection]]:
+            return None, Rejection(request_id=request.request_id,
+                                   kind=request.kind, n=request.n,
+                                   reason=reason, detail=detail)
 
         if not self._running:
             return refuse(RejectReason.SHUTDOWN, "service is draining")
@@ -255,18 +270,18 @@ class CryptoPimService:
         if request.kind is RequestKind.POLYMUL:
             try:
                 a, b = payload
-                if len(a) != n or len(b) != n:
-                    raise ValueError
-            except (TypeError, ValueError):
+                payload = (_coefficients(a, n), _coefficients(b, n))
+            except (TypeError, ValueError, OverflowError):
                 return refuse(RejectReason.INVALID,
-                              f"POLYMUL payload must be two length-{n} vectors")
+                              f"POLYMUL payload must be two length-{n} "
+                              f"integer vectors")
         elif request.kind in (RequestKind.NTT_FORWARD, RequestKind.NTT_INVERSE):
             try:
-                if len(payload) != n:
-                    raise ValueError
-            except (TypeError, ValueError):
+                payload = _coefficients(payload, n)
+            except (TypeError, ValueError, OverflowError):
                 return refuse(RejectReason.INVALID,
-                              f"NTT payload must be one length-{n} vector")
+                              f"NTT payload must be one length-{n} "
+                              f"integer vector")
         elif request.kind in _HE_PAIR_KINDS:
             try:
                 x, y = payload
@@ -279,7 +294,7 @@ class CryptoPimService:
             if not hasattr(payload, "u"):
                 return refuse(RejectReason.INVALID,
                               "decaps payload must be a Kyber ciphertext")
-        return None
+        return payload, None
 
     # -- queue plumbing -------------------------------------------------------
 
@@ -320,7 +335,7 @@ class CryptoPimService:
             priority=request.priority)
         admit_span = trace.child("admit", start_s=t0)
         try:
-            rejection = self._validate(request)
+            payload, rejection = self._validate(request)
             if rejection is None:
                 state = self._queue_state(request)
                 rejection = self._admission.admit(
@@ -331,7 +346,8 @@ class CryptoPimService:
             enqueued_at = loop.time()
             admit_span.finish(end_s=enqueued_at)
         if rejection is None:
-            pending = _Pending(request=request, enqueued_at=enqueued_at,
+            pending = _Pending(request=request, payload=payload,
+                               enqueued_at=enqueued_at,
                                future=loop.create_future(), trace=trace)
             # priority first, then arrival order within a priority class
             state.queue.put_nowait(
@@ -376,8 +392,6 @@ class CryptoPimService:
                 try:
                     async with self.fleet.lease(
                             n, route_info=route_info) as shard:
-                        mults = self._mult_equivalents(kind, pendings)
-                        timing = shard.gate.timeline.dispatch(n, sum(mults))
                         exec_start = loop.time()
                         started = time.perf_counter()
                         try:
@@ -387,6 +401,9 @@ class CryptoPimService:
                             continue
                         service_s = time.perf_counter() - started
                         exec_end = loop.time()
+                        # charge the ledger only for work that ran
+                        mults = self._mult_equivalents(kind, pendings)
+                        timing = shard.gate.timeline.dispatch(n, sum(mults))
                         chip_index = shard.index
                 except FleetDrained:
                     # every chip is administratively drained: fail the
@@ -513,7 +530,7 @@ class CryptoPimService:
             # a tensor product costs one multiplication per pair of parts,
             # and members of one window may carry different part counts
             return [len(x.parts) * len(y.parts)
-                    for x, y in (p.request.payload for p in pendings)]
+                    for x, y in (p.payload for p in pendings)]
         else:
             # POLYMUL and each NTT direction occupy one pipeline pass; adds
             # are vector ops an order cheaper but still charged one slot
@@ -522,17 +539,13 @@ class CryptoPimService:
 
     def _execute(self, kind: RequestKind, n: int,
                  pendings: List[_Pending]) -> List[Any]:
-        payloads = [p.request.payload for p in pendings]
+        payloads = [p.payload for p in pendings]
         if kind is RequestKind.POLYMUL:
             return self.accelerator(n).multiply_batch(payloads).results
         if kind is RequestKind.NTT_FORWARD:
-            block = np.stack([np.asarray(p, dtype=np.uint64)
-                              for p in payloads])
-            return list(self.engine(n).forward_many(block))
+            return list(self.engine(n).forward_many(np.stack(payloads)))
         if kind is RequestKind.NTT_INVERSE:
-            block = np.stack([np.asarray(p, dtype=np.uint64)
-                              for p in payloads])
-            return list(self.engine(n).inverse_many(block))
+            return list(self.engine(n).inverse_many(np.stack(payloads)))
         if kind is RequestKind.KYBER_ENCAPS:
             kem, pk, _ = self.kyber()
             return kem.encapsulate_many(pk, len(pendings))

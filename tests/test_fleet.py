@@ -2,6 +2,7 @@
 policies, drain/failover, and the fleet-enabled service."""
 
 import asyncio
+import functools
 
 import numpy as np
 import pytest
@@ -375,3 +376,55 @@ class TestFleetService:
         assert result.ok and result.chip == 0
         assert chips == 1
         assert same_gate
+
+
+# ---------------------------------------------------------------------------
+# simulated fleet scaling (chip cycles, no wall clock)
+# ---------------------------------------------------------------------------
+
+#: seeds the scaling gates run on; seeds 0-9 all read 3.09-3.58x at four
+#: chips and 0.19-0.38 (affinity) against 0.47-0.63 (round-robin)
+#: reconfigurations per batch
+SCALING_SEEDS = (0, 1, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def fleet_ledger(num_chips, routing, seed):
+    """Fleet snapshot after 480 ``mixed-kyber-he`` requests from 96
+    closed-loop clients.  ``max_batch_wait_s=0`` closes every window on
+    what is already queued, so no wall clock decides a batch and the
+    cycle ledger is a pure function of the arguments."""
+    async def scenario():
+        config = ServiceConfig(num_chips=num_chips, routing=routing,
+                               max_batch_wait_s=0)
+        async with CryptoPimService(config) as service:
+            report = await run_closed_loop(
+                service, PROFILES["mixed-kyber-he"], total_requests=480,
+                concurrency=96, seed=seed, per_spec=8)
+            return report.completed, service.fleet.snapshot()
+
+    completed, snapshot = serve(scenario())
+    assert completed == 480
+    return snapshot
+
+
+class TestFleetSimulatedScaling:
+    @pytest.mark.parametrize("seed", SCALING_SEEDS)
+    def test_four_chips_cut_makespan_at_least_3x(self, seed):
+        one = fleet_ledger(1, "affinity", seed)
+        four = fleet_ledger(4, "affinity", seed)
+        assert one["items"] == four["items"]
+        assert one["makespan_cycles"] >= 3 * four["makespan_cycles"]
+
+    @pytest.mark.parametrize("seed", SCALING_SEEDS)
+    def test_affinity_reconfigures_less_than_round_robin(self, seed):
+        affinity = fleet_ledger(4, "affinity", seed)
+        round_robin = fleet_ledger(4, "round_robin", seed)
+        assert (affinity["reconfigurations_per_batch"]
+                < round_robin["reconfigurations_per_batch"])
+
+    @pytest.mark.parametrize("routing", ["affinity", "round_robin"])
+    def test_rerun_reads_identical_cycles(self, routing):
+        first = fleet_ledger(4, routing, SCALING_SEEDS[0])
+        again = fleet_ledger.__wrapped__(4, routing, SCALING_SEEDS[0])
+        assert again == first

@@ -2,6 +2,7 @@
 metrics, the asyncio service, and the load generator."""
 
 import asyncio
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -563,6 +564,83 @@ class TestServiceAdmission:
 
         serve(scenario())
 
+    def test_poisoned_operand_rejected_alone(self, rng):
+        """One non-numeric operand among 16 POLYMUL requests that share a
+        window is refused at admission; the other 15 ride one batch and
+        only they are charged to the chip."""
+        async def scenario():
+            pairs = [polymul_payload(rng) for _ in range(16)]
+            pairs[7] = (pairs[7][0], ["x"] * 256)
+            config = ServiceConfig(max_batch_wait_s=0)
+            async with CryptoPimService(config) as service:
+                results = await asyncio.gather(*(
+                    service.submit(request_for(payload=pair))
+                    for pair in pairs))
+                return pairs, results, service.gate.timeline.snapshot()
+
+        pairs, results, ledger = serve(scenario())
+        assert results[7].reason == RejectReason.INVALID
+        served = results[:7] + results[8:]
+        assert all(r.ok and r.batch_size == 15 for r in served)
+        engine = NttEngine.for_degree(256)
+        for pair, result in zip(pairs[:7] + pairs[8:], served):
+            assert np.array_equal(result.value, engine.multiply(*pair))
+        assert ledger["batches"] == 1 and ledger["items"] == 15
+
+    @pytest.mark.parametrize("payload", [
+        ([1] * 256, [2] * 255),            # one operand one short
+        ([1] * 256, [[2] * 256]),          # one operand 2-D
+        ([1] * 256, [-3] * 256),           # negative: no uint64 coefficient
+        ([1] * 256,),                      # one operand, not two
+    ])
+    def test_malformed_polymul_operands_rejected(self, payload):
+        async def scenario():
+            async with CryptoPimService() as service:
+                return await service.submit(request_for(payload=payload))
+
+        assert serve(scenario()).reason == RejectReason.INVALID
+
+    def test_list_operands_coerced_at_admission(self, rng):
+        async def scenario():
+            a, b = polymul_payload(rng)
+            async with CryptoPimService() as service:
+                product = await service.submit(request_for(
+                    payload=(a.tolist(), b.tolist())))
+                forward = await service.submit(request_for(
+                    RequestKind.NTT_FORWARD, payload=a.tolist()))
+            return a, b, product, forward
+
+        a, b, product, forward = serve(scenario())
+        engine = NttEngine.for_degree(256)
+        assert np.array_equal(product.value, engine.multiply(a, b))
+        assert np.array_equal(forward.value, engine.forward(a))
+
+    def test_failed_window_leaves_ledger_unchanged(self, rng):
+        """A window whose execution raises is rejected and charges the
+        chip nothing: the ledger reads as it did before the window."""
+        async def scenario():
+            config = ServiceConfig(max_batch_wait_s=0)
+            async with CryptoPimService(config) as service:
+                scheme, sk = service.bgv(1024)
+                x = scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
+                good = await service.submit(request_for(
+                    RequestKind.BGV_MULTIPLY, n=1024, payload=(x, x)))
+                before = service.gate.timeline.snapshot()
+                # passes admission (both sides have ``parts``) but the
+                # parts are not ring elements, so the tensor raises
+                bogus = SimpleNamespace(parts=["not", "ring"])
+                bad = await service.submit(request_for(
+                    RequestKind.BGV_MULTIPLY, n=1024, payload=(x, bogus)))
+                after = service.gate.timeline.snapshot()
+            return good, bad, before, after
+
+        good, bad, before, after = serve(scenario())
+        assert good.ok
+        assert bad.reason == RejectReason.INVALID
+        assert before["batches"] == 1
+        for key in ("clock_cycles", "busy_cycles", "batches", "items"):
+            assert after[key] == before[key], key
+
     def test_unsupported_degree(self):
         async def scenario():
             async with CryptoPimService() as service:
@@ -699,18 +777,6 @@ class TestLoadGenerator:
         report = serve(scenario())
         assert report.completed == 30
 
-    def test_report_round_trips_to_dict(self):
-        async def scenario():
-            async with CryptoPimService() as service:
-                return await run_closed_loop(
-                    service, PROFILES["polymul-256"], total_requests=8,
-                    concurrency=2, seed=1)
-
-        payload = serve(scenario()).to_dict()
-        assert payload["completed"] == 8
-        assert "latency_s" in payload
-        assert "p99" in payload["latency_s"]
-
     def test_profile_pick_respects_weights(self):
         profile = WorkloadProfile("only", (
             TrafficSpec(RequestKind.POLYMUL, 256, weight=1.0),
@@ -719,6 +785,39 @@ class TestLoadGenerator:
         rng = np.random.default_rng(0)
         picks = {profile.pick(rng).kind for _ in range(32)}
         assert picks == {RequestKind.POLYMUL}
+
+
+def batching_ledger(batch_capacity):
+    """Chip ledger after 160 ``polymul-1024`` requests from 64 closed-loop
+    clients; ``max_batch_wait_s=0`` closes windows on what is queued."""
+    async def scenario():
+        config = ServiceConfig(batch_capacity=batch_capacity,
+                               max_batch_wait_s=0)
+        async with CryptoPimService(config) as service:
+            report = await run_closed_loop(
+                service, PROFILES["polymul-1024"], total_requests=160,
+                concurrency=64, seed=0)
+            return (report.completed, service.fleet.capacity_for(1024),
+                    service.gate.timeline.snapshot())
+
+    return serve(scenario())
+
+
+class TestBatchingSimulatedCycles:
+    def test_batched_windows_beat_serve_one_in_chip_cycles(self):
+        """Full superbank windows cost the chip what one product does, so
+        batching saves cycles in proportion to the window."""
+        completed, _, serial = batching_ledger(1)
+        assert completed == 160 and serial["batches"] == 160
+        completed, capacity, batched = batching_ledger(None)
+        assert completed == 160
+        assert batched["batches"] == -(-160 // capacity)
+        assert serial["clock_cycles"] >= 4 * batched["clock_cycles"]
+
+    @pytest.mark.parametrize("batch_capacity", [1, None])
+    def test_rerun_reads_identical_cycles(self, batch_capacity):
+        assert batching_ledger(batch_capacity) == \
+            batching_ledger(batch_capacity)
 
 
 class TestServiceReporting:
