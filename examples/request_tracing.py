@@ -50,7 +50,7 @@ async def traced_session():
             service, PROFILES["mixed-kyber-he"],
             total_requests=48, concurrency=8, seed=7)
         await service.drain()
-        chip_ledgers = [shard.gate.timeline.snapshot()
+        chip_ledgers = [shard.timeline.snapshot()
                         for shard in service.fleet.shards]
         doc = service.trace_document()
         journal = service.journal

@@ -42,7 +42,7 @@ class AnalyzeConfig:
     owned_attrs: Dict[str, str] = field(default_factory=lambda: {
         "pending_leases": "serve/fleet.py",
         "healthy": "serve/fleet.py",
-        "configured_n": "serve/scheduler.py",
+        "configured_n": "core/scheduler.py",
     })
     #: method names whose call produces a fresh queue item (ASY001)
     queue_get_methods: Tuple[str, ...] = ("get", "get_nowait")

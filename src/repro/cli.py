@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace-event / Perfetto JSON file here")
     serve.add_argument("--trace-capacity", type=int, default=1024,
                        help="trace reservoir size (aggregates stay exact)")
-    serve.add_argument("--trace-sample-rate", type=float, default=1.0,
-                       help="fraction of traces offered to the reservoir")
 
     trace = sub.add_parser(
         "trace",
@@ -140,7 +138,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         routing=args.routing,
         tracing=args.trace is not None,
         trace_capacity=args.trace_capacity,
-        trace_sample_rate=args.trace_sample_rate,
     )
 
     async def drive() -> int:

@@ -144,8 +144,9 @@ class CryptoPIM:
         law (:func:`~repro.core.controller.pipelined_completion_cycles`
         with one superbank): result ``k`` completes at
         ``(depth + k - 1) * stage_latency``, so a long batch approaches
-        the Table II steady-state throughput.  The chip-level figure with
-        every superbank streaming is the serving layer's ``ChipTimeline``.
+        the Table II steady-state throughput.  The chip-level figure, with
+        every superbank streaming, is
+        :class:`~repro.core.scheduler.ChipTimeline`'s.
 
         An empty batch is a no-op: ``[]`` results on a zero-cycle
         timeline, so callers that drain queues (the serving layer's batch

@@ -11,7 +11,7 @@ importer load directly.  One exported file carries three process lanes:
   chip, so per-chip occupancy and reconfiguration penalties line up as
   lanes (batches executed by the same chip share a thread row);
 * **pid 3 - fleet (cycles)**: the cycle view of pid 2 - `ts` is the
-  shard's virtual :class:`~repro.serve.scheduler.ChipTimeline` clock in
+  shard's virtual :class:`~repro.core.scheduler.ChipTimeline` clock in
   cycles, so the simulated-hardware schedule is inspectable in the same
   UI (one "microsecond" on this lane is one chip cycle).
 

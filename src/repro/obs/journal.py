@@ -6,8 +6,7 @@ memory cost O(reservoir) while losing nothing statistical:
 * **aggregates** are updated for *every* finished trace - per-stage
   wall/cycle totals, counts, and maxima are exact over the full run;
 * **retained traces** are a uniform reservoir sample of size
-  ``capacity`` (Vitter's algorithm R), optionally thinned up front by
-  ``sample_rate``;
+  ``capacity`` (Vitter's algorithm R);
 * **slowest traces** are kept separately in a bounded min-heap of size
   ``keep_slowest``, so tail-latency forensics survive sampling - the
   100 fast requests the reservoir keeps are no help when the question
@@ -66,15 +65,11 @@ class StageStats:
 class TraceJournal:
     """Receives finished root spans from a :class:`~repro.obs.span.Tracer`."""
 
-    def __init__(self, capacity: int = 1024, sample_rate: float = 1.0,
-                 keep_slowest: int = 32, seed: int = 0x0B5):
+    def __init__(self, capacity: int = 1024, keep_slowest: int = 32,
+                 seed: int = 0x0B5):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be in (0, 1], got {sample_rate}")
         self.capacity = capacity
-        self.sample_rate = sample_rate
         self.keep_slowest = keep_slowest
         self._rng = random.Random(seed)
         self._reservoir: List[Span] = []
@@ -114,9 +109,6 @@ class TraceJournal:
             heapq.heapreplace(self._slowest, entry)
 
     def _retain_sample(self, root: Span) -> None:
-        if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
-            self.dropped += 1
-            return
         self._seen += 1
         if len(self._reservoir) < self.capacity:
             self._reservoir.append(root)
@@ -150,7 +142,6 @@ class TraceJournal:
             "retained": len(self.traces()),
             "dropped": self.dropped,
             "capacity": self.capacity,
-            "sample_rate": self.sample_rate,
             "root": self.roots.to_dict(),
             "stages": {name: self.stages[name].to_dict()
                        for name in sorted(self.stages)},

@@ -11,7 +11,7 @@ of a request's life, carrying
   neighbouring span, so a trace decomposes its end-to-end latency
   exactly - see :func:`decompose`);
 * **chip cycles** - optional ``cycle_start``/``cycle_end`` from the
-  shard's :class:`~repro.serve.scheduler.ChipTimeline` virtual clock,
+  shard's :class:`~repro.core.scheduler.ChipTimeline` virtual clock,
   so the simulated hardware cost of a stage rides next to its wall
   cost (the paper's claims are cycle-attribution claims; Section IV-B);
 * **typed attributes** - small JSON-safe values (kind, chip index,

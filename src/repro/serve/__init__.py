@@ -2,11 +2,12 @@
 
 The front door the ROADMAP's "heavy traffic" goal needs: typed requests,
 admission control and backpressure, adaptive batch windows sized to the
-chip's parallel superbanks, a scheduler that shares one simulated chip
-across parameter sets, latency/occupancy metrics, and a synthetic load
+chip's parallel superbanks, a fleet of simulated chips shared across
+parameter sets, latency/occupancy metrics, and a synthetic load
 generator.  See ``README.md`` ("Serving") and ``DESIGN.md`` section 7.
 """
 
+from ..core.scheduler import BatchTiming, ChipTimeline
 from .admission import AdmissionController, AdmissionPolicy, TokenBucket
 from .batcher import BatchWindow, collect_batch
 from .fleet import ChipFleet, ChipShard, FleetDrained
@@ -27,7 +28,6 @@ from .requests import (
     ServeRequest,
     ServeResult,
 )
-from .scheduler import BatchTiming, ChipGate, ChipTimeline
 from .service import KYBER_DEGREE, CryptoPimService, ServiceConfig
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "ServeRequest",
     "ServeResult",
     "BatchTiming",
-    "ChipGate",
     "ChipTimeline",
     "KYBER_DEGREE",
     "CryptoPimService",

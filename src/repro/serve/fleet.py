@@ -4,8 +4,8 @@ NTT-PIM and BP-NTT both scale by replicating arrays and amortising
 control across them; the software analogue one level above the paper's
 bank -> softbank -> superbank ladder (Section III-D) is a **fleet** of
 independent :class:`~repro.arch.chip.CryptoPimChip` shards, each with its
-own :class:`~repro.serve.scheduler.ChipGate` lock and
-:class:`~repro.serve.scheduler.ChipTimeline` virtual clock.
+own :class:`~repro.core.scheduler.ChipTimeline` virtual clock and the
+asyncio lock its batches hold.  One chip is a fleet of one.
 
 Routing policy (``affinity``, the default):
 
@@ -31,7 +31,7 @@ strawman (``tests/test_fleet.py`` asserts it reconfigures more often per
 batch than affinity on degree-mixed traffic).
 
 Drain / failover: :meth:`ChipFleet.mark_unhealthy` removes a shard from
-routing immediately.  A window that already *holds* the shard's gate
+routing immediately.  A window that already *holds* the shard's lock
 completes normally (results are computed in software; the shard is
 drained, not vaporised).  A window that picked the shard but is still
 waiting on its lock re-routes to a healthy sibling on wake-up - no
@@ -41,15 +41,15 @@ asserts.
 
 from __future__ import annotations
 
+import asyncio
 from contextlib import asynccontextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.chip import CryptoPimChip
-from ..core.scheduler import RECONFIGURATION_CYCLES
-from .scheduler import ChipGate
+from ..core.scheduler import RECONFIGURATION_CYCLES, ChipTimeline
 
 __all__ = ["FleetDrained", "ChipShard", "ChipFleet",
            "DEFAULT_SPILL_MARGIN_CYCLES"]
@@ -72,20 +72,29 @@ class FleetDrained(RuntimeError):
 
 @dataclass
 class ChipShard:
-    """One chip of the fleet: a gate, a health flag, and a lease count."""
+    """One chip of the fleet: its cycle ledger, a health flag, and a
+    lease count.
+
+    Holding ``lock`` means "my batch occupies this chip's bank array now".
+    Batches run in the lock's FIFO order, which keeps the reconfiguration
+    accounting faithful: a degree change between consecutive holders
+    costs switch-rewiring cycles on the timeline.
+    """
 
     index: int
-    gate: ChipGate
+    timeline: ChipTimeline
     healthy: bool = True
     pending_leases: int = 0
+    lock: asyncio.Lock = field(default_factory=asyncio.Lock, init=False,
+                               repr=False)
 
     @property
     def configured_n(self) -> Optional[int]:
-        return self.gate.timeline.configured_n
+        return self.timeline.configured_n
 
     def load_cycles(self) -> int:
         """Virtual work assigned to this shard, in cycles."""
-        return (self.gate.timeline.clock_cycles
+        return (self.timeline.clock_cycles
                 + self.pending_leases * _PENDING_LEASE_CYCLES)
 
 
@@ -93,7 +102,7 @@ class ChipFleet:
     """N independent chip shards behind one routing policy.
 
     Args:
-        num_chips: shard count (1 is a single shared chip).
+        num_chips: shard count.
         chip: template chip; the fleet holds ``num_chips`` replicas of
             its bank budget / pipeline variant (``CryptoPimChip.replicate``).
         policy: ``"affinity"`` (degree-affinity + power-of-two-choices +
@@ -120,7 +129,7 @@ class ChipFleet:
         self.policy = policy
         self.spill_margin_cycles = int(spill_margin_cycles)
         self.shards: List[ChipShard] = [
-            ChipShard(index=i, gate=ChipGate(replica))
+            ChipShard(index=i, timeline=ChipTimeline(chip=replica))
             for i, replica in enumerate(template.replicate(num_chips))
         ]
         self._rng = np.random.default_rng(seed)
@@ -181,7 +190,7 @@ class ChipFleet:
             # shard's lead exceeds a couple of full pipeline spans plus
             # the explicit margin (i.e. waiting costs more than rewiring)
             threshold = (self.spill_margin_cycles
-                         + 2 * pick.gate.timeline.span_estimate(n))
+                         + 2 * pick.timeline.span_estimate(n))
             if pick.load_cycles() > least.load_cycles() + threshold:
                 self.counters["routed.spill"] += 1
                 return least, "spill"
@@ -198,12 +207,12 @@ class ChipFleet:
     async def lease(self, n: int,
                     route_info: Optional[Dict[str, Any]] = None,
                     ) -> AsyncIterator[ChipShard]:
-        """Hold one healthy shard's gate for a degree-``n`` window.
+        """Hold one healthy shard's lock for a degree-``n`` window.
 
         Routing and locking race against health changes: if the chosen
         shard is marked unhealthy while this lease waits on its lock, the
         lease re-routes to a healthy sibling instead of dispatching onto
-        a drained chip.  Work already *holding* a gate when the shard
+        a drained chip.  Work already *holding* a lock when the shard
         goes unhealthy completes normally.
 
         Args:
@@ -218,7 +227,7 @@ class ChipFleet:
             shard, decision = self._route(n)
             shard.pending_leases += 1
             try:
-                await shard.gate.__aenter__()
+                await shard.lock.acquire()
             except BaseException:
                 shard.pending_leases -= 1
                 raise
@@ -226,7 +235,7 @@ class ChipFleet:
                     s.healthy for s in self.shards if s is not shard):
                 # the shard died while we queued on its lock: re-route
                 shard.pending_leases -= 1
-                await shard.gate.__aexit__(None, None, None)
+                shard.lock.release()
                 self.counters["rerouted.unhealthy"] += 1
                 rerouted += 1
                 continue
@@ -238,14 +247,14 @@ class ChipFleet:
                 yield shard
             finally:
                 shard.pending_leases -= 1
-                await shard.gate.__aexit__(None, None, None)
+                shard.lock.release()
             return
 
     # -- health ---------------------------------------------------------------
 
     def mark_unhealthy(self, index: int) -> ChipShard:
         """Administratively drain chip ``index``: it stops receiving new
-        windows; whatever holds its gate right now completes."""
+        windows; whatever holds its lock right now completes."""
         shard = self.shards[index]
         shard.healthy = False
         return shard
@@ -260,19 +269,15 @@ class ChipFleet:
         """Wait until the given shard (or every shard) holds no batch."""
         shards = self.shards if index is None else [self.shards[index]]
         for shard in shards:
-            async with shard.gate:
+            async with shard.lock:
                 pass
 
     # -- convenience ----------------------------------------------------------
 
     def capacity_for(self, n: int) -> int:
         """Per-shard parallel-superbank capacity (shards are identical)."""
-        return self.shards[0].gate.capacity_for(n)
-
-    @property
-    def gate(self) -> ChipGate:
-        """Shard 0's gate - the single-chip compatibility handle."""
-        return self.shards[0].gate
+        return self.shards[0].timeline.chip.configure(
+            n).parallel_multiplications
 
     # -- reporting ------------------------------------------------------------
 
@@ -285,7 +290,7 @@ class ChipFleet:
         against the fleet; ``clock_skew`` is (max - min) / max clock
         across healthy shards - 0 means perfectly balanced.
         """
-        per_shard = [dict(s.gate.timeline.snapshot(),
+        per_shard = [dict(s.timeline.snapshot(),
                           index=s.index, healthy=s.healthy)
                      for s in self.shards]
         clocks = [s["clock_cycles"] for s in per_shard]

@@ -4,7 +4,7 @@
 runs them through admission control (:mod:`repro.serve.admission`), parks
 them in bounded per-parameter-set priority queues, and drains each queue
 with an adaptive batch window (:mod:`repro.serve.batcher`).  Closed
-batches race for the one simulated chip (:mod:`repro.serve.scheduler`)
+batches lease a chip of the simulated fleet (:mod:`repro.serve.fleet`)
 and execute through the *batched* kernel entry points -
 ``CryptoPIM.multiply_batch``, ``NttEngine.forward_many``/``inverse_many``,
 ``KyberKem.encapsulate_many``, ``BgvScheme.multiply_many``,
@@ -25,7 +25,8 @@ BFV_ADD / BFV_MULTIPLY    ``(x, y)`` - two :class:`BfvCiphertext`
 Chip accounting: each request is charged its *multiplication equivalents*
 (a Kyber encapsulation is ``k^2 + k`` degree-256 products, a fresh BGV/BFV
 tensor is 4 degree-``n`` products, adds are conservatively charged one
-slot) and the shared :class:`ChipTimeline` turns those into per-request
+slot) and the leased shard's
+:class:`~repro.core.scheduler.ChipTimeline` turns those into per-request
 completion cycles via the one completion law,
 :func:`repro.core.controller.pipelined_completion_cycles` - for the
 native degrees served here, ``(depth + slot) * stage_cycles`` with the
@@ -46,10 +47,12 @@ import numpy as np
 
 from ..arch.chip import CryptoPimChip, MAX_NATIVE_DEGREE
 from ..core.accelerator import CryptoPIM
+from ..core.scheduler import BatchTiming
 from ..crypto.bfv import BfvScheme
 from ..crypto.bgv import BgvScheme
 from ..crypto.kyber import KyberKem
 from ..ntt.params import params_for_degree
+from ..ntt.polynomial import Polynomial
 from ..ntt.transform import NttEngine
 from ..obs.export import export_chrome_trace, write_chrome_trace
 from ..obs.journal import TraceJournal
@@ -65,7 +68,6 @@ from .requests import (
     ServeRequest,
     ServeResult,
 )
-from .scheduler import BatchTiming, ChipGate
 
 __all__ = ["ServiceConfig", "CryptoPimService", "KYBER_DEGREE"]
 
@@ -79,11 +81,25 @@ _HE_PAIR_KINDS = (RequestKind.BGV_ADD, RequestKind.BGV_MULTIPLY,
 
 def _coefficients(values: Any, n: int) -> np.ndarray:
     """``values`` as a length-``n`` uint64 vector (no copy if it already
-    is one); raises ``ValueError``, ``TypeError`` or ``OverflowError``."""
-    vector = np.asarray(values, dtype=np.uint64)
+    is one).  Only integer input is taken: floats, strings and negative
+    values raise ``TypeError`` or ``ValueError`` instead of being cast."""
+    vector = np.asarray(values)
+    if vector.dtype.kind not in "ui":
+        raise TypeError(f"expected integer coefficients, got {vector.dtype}")
     if vector.shape != (n,):
         raise ValueError(f"expected shape ({n},), got {vector.shape}")
-    return vector
+    if vector.dtype.kind == "i" and (vector < 0).any():
+        raise ValueError("coefficients must be non-negative")
+    return vector.astype(np.uint64, copy=False)
+
+
+def _ring_operand(x: Any, n: int, q: int) -> bool:
+    """Whether ``x`` is a ciphertext whose parts are all ring elements of
+    ``Z_q[x]/(x^n + 1)`` (and there is at least one)."""
+    parts = getattr(x, "parts", None)
+    return (isinstance(parts, (list, tuple)) and len(parts) > 0
+            and all(isinstance(p, Polynomial) and p.n == n and p.q == q
+                    for p in parts))
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,6 @@ class ServiceConfig:
             a few no-op calls per request.
         trace_capacity: reservoir size of retained traces (aggregates
             stay exact regardless).
-        trace_sample_rate: fraction of traces offered to the reservoir.
     """
 
     batch_capacity: Optional[int] = None
@@ -130,7 +145,6 @@ class ServiceConfig:
     routing: str = "affinity"
     tracing: bool = False
     trace_capacity: int = 1024
-    trace_sample_rate: float = 1.0
 
     def admission_policy(self) -> AdmissionPolicy:
         return AdmissionPolicy(
@@ -166,9 +180,9 @@ class _QueueState:
 class CryptoPimService:
     """Async multi-tenant front door over a fleet of simulated chips.
 
-    ``num_chips=1`` (the default) serves every window on one shared
-    chip; larger fleets shard batch windows across shards via
-    :class:`~repro.serve.fleet.ChipFleet`.
+    Batch windows are sharded across the chips of a
+    :class:`~repro.serve.fleet.ChipFleet`; ``num_chips=1`` (the default)
+    is a fleet of one.
     """
 
     def __init__(self, config: ServiceConfig = ServiceConfig(),
@@ -177,9 +191,7 @@ class CryptoPimService:
         self.metrics = MetricsRegistry()
         if config.tracing:
             self.journal: Optional[TraceJournal] = TraceJournal(
-                capacity=config.trace_capacity,
-                sample_rate=config.trace_sample_rate,
-                seed=config.seed)
+                capacity=config.trace_capacity, seed=config.seed)
             self.tracer: Tracer = Tracer(journal=self.journal)
         else:
             self.journal = None
@@ -195,12 +207,6 @@ class CryptoPimService:
         self._kyber: Optional[Tuple[KyberKem, Any, Any]] = None  # (kem, pk, sk)
         self._bgv: Dict[int, Tuple[BgvScheme, Any]] = {}   # (scheme, sk)
         self._bfv: Dict[int, Tuple[BfvScheme, Any]] = {}
-
-    @property
-    def gate(self) -> ChipGate:
-        """Shard 0's gate - the single-chip compatibility handle (with
-        ``num_chips=1`` this is *the* chip)."""
-        return self.fleet.gate
 
     # -- execution contexts (also used by the load generator) ---------------
 
@@ -243,9 +249,10 @@ class CryptoPimService:
         """``(payload, None)`` for a servable request, else ``(None,
         rejection)``.
 
-        POLYMUL and NTT operands come back as length-``n`` uint64 vectors,
-        so an operand the kernel could not take is refused here, alone,
-        instead of failing the whole batch window it would have joined.
+        POLYMUL and NTT operands come back as length-``n`` uint64 vectors
+        and HE operands must be ciphertexts over the degree's ring, so an
+        operand the kernel could not take is refused here, alone, instead
+        of failing the whole batch window it would have joined.
         """
         def refuse(reason: RejectReason,
                    detail: str) -> Tuple[Any, Optional[Rejection]]:
@@ -271,25 +278,27 @@ class CryptoPimService:
             try:
                 a, b = payload
                 payload = (_coefficients(a, n), _coefficients(b, n))
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 return refuse(RejectReason.INVALID,
                               f"POLYMUL payload must be two length-{n} "
                               f"integer vectors")
         elif request.kind in (RequestKind.NTT_FORWARD, RequestKind.NTT_INVERSE):
             try:
                 payload = _coefficients(payload, n)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 return refuse(RejectReason.INVALID,
                               f"NTT payload must be one length-{n} "
                               f"integer vector")
         elif request.kind in _HE_PAIR_KINDS:
+            q = params_for_degree(n).q
             try:
                 x, y = payload
-                if not (hasattr(x, "parts") and hasattr(y, "parts")):
+                if not (_ring_operand(x, n, q) and _ring_operand(y, n, q)):
                     raise TypeError
             except (TypeError, ValueError):
                 return refuse(RejectReason.INVALID,
-                              "eval payload must be a ciphertext pair")
+                              f"eval payload must be a pair of ciphertexts "
+                              f"over the (n={n}, q={q}) ring")
         elif request.kind is RequestKind.KYBER_DECAPS:
             if not hasattr(payload, "u"):
                 return refuse(RejectReason.INVALID,
@@ -403,7 +412,7 @@ class CryptoPimService:
                         exec_end = loop.time()
                         # charge the ledger only for work that ran
                         mults = self._mult_equivalents(kind, pendings)
-                        timing = shard.gate.timeline.dispatch(n, sum(mults))
+                        timing = shard.timeline.dispatch(n, sum(mults))
                         chip_index = shard.index
                 except FleetDrained:
                     # every chip is administratively drained: fail the
@@ -609,15 +618,14 @@ class CryptoPimService:
     # -- reporting ------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
-        """Machine-readable service state: metrics + chip/fleet timelines.
+        """Machine-readable service state: metrics + the fleet's timelines.
 
-        ``chip`` remains shard 0's timeline for single-chip compatibility;
-        ``fleet`` carries the aggregated multi-chip view; ``trace`` joins
-        in the journal's exact per-stage aggregates when tracing is on.
+        ``fleet`` carries the aggregated view and each shard's timeline;
+        ``trace`` joins in the journal's exact per-stage aggregates when
+        tracing is on.
         """
         summary: Dict[str, Any] = {
             "metrics": self.metrics.snapshot(),
-            "chip": self.gate.timeline.snapshot(),
             "fleet": self.fleet.snapshot(),
             "queues": {
                 f"{kind.value}.{n}": state.queue.qsize()
@@ -647,18 +655,4 @@ class CryptoPimService:
         return write_chrome_trace(path, self.journal, self.metrics)
 
     def render_summary(self) -> str:
-        lines = [self.metrics.breakdown()]
-        if self.fleet.num_chips > 1:
-            lines.append(self.fleet.render())
-        else:
-            chip = self.gate.timeline.snapshot()
-            lines += [
-                "chip timeline:",
-                f"    clock {chip['clock_cycles']} cycles, "
-                f"busy {chip['busy_cycles']} "
-                f"(utilization {chip['utilization']:.1%})",
-                f"    {chip['batches']} batches / {chip['items']} "
-                f"mult-equivalents, {chip['reconfigurations']} "
-                f"reconfigurations",
-            ]
-        return "\n".join(lines)
+        return "\n".join((self.metrics.breakdown(), self.fleet.render()))

@@ -112,9 +112,9 @@ class TestServiceCancellationFailover:
             payload = (rng.integers(0, q, n).astype(np.uint64),
                        rng.integers(0, q, n).astype(np.uint64))
             service = CryptoPimService(ServiceConfig(max_batch_wait_s=0.0))
-            # hold the only chip's gate: the drain worker will dequeue the
+            # hold the only chip's lock: the drain worker will dequeue the
             # request, close its window, then block inside fleet.lease()
-            async with service.gate:
+            async with service.fleet.shards[0].lock:
                 task = asyncio.create_task(service.submit(ServeRequest(
                     kind=RequestKind.POLYMUL, n=n, payload=payload)))
                 for _ in range(50):

@@ -113,6 +113,28 @@ class TestScheduler:
         with pytest.raises(ValueError):
             MultiplicationJob(256, 0)
 
+    def test_datacenter_mix_pins_group_offsets(self):
+        """The five-degree mix of examples/datacenter_workload.py, two of
+        its degrees segmented: every group starts one reconfiguration
+        after the previous one ends, and the ledger charges each cycle of
+        the makespan as busy or reconfiguration."""
+        report = ChipScheduler().schedule([
+            MultiplicationJob(256, 50_000),
+            MultiplicationJob(1024, 10_000),
+            MultiplicationJob(4096, 1_000),
+            MultiplicationJob(32768, 100),
+            MultiplicationJob(65536, 20),
+        ])
+        assert report.makespan_cycles == 4_899_539
+        assert [(g.start_cycle, g.end_cycle) for g in report.groups] == [
+            (0, 1_345_617), (1_346_617, 1_934_811), (1_935_811, 3_112_569),
+            (3_113_569, 4_204_384), (4_205_384, 4_899_539)]
+        busy_cycles = sum(g.end_cycle - g.start_cycle for g in report.groups)
+        reconfig_cycles = sum(g.reconfiguration_cycles
+                              for g in report.groups)
+        assert reconfig_cycles == 4 * RECONFIGURATION_CYCLES
+        assert busy_cycles + reconfig_cycles == report.makespan_cycles
+
     def test_report_str(self):
         report = ChipScheduler().schedule([MultiplicationJob(256, 4)])
         assert "makespan" in str(report)

@@ -96,7 +96,7 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "polymul-256" in out
         assert "serving metrics" in out
-        assert "chip timeline" in out
+        assert "fleet: 1/1 chips" in out
 
     def test_serve_bench_open_loop(self, capsys):
         assert main(["serve-bench", "--profile", "polymul-256",

@@ -14,9 +14,8 @@ from repro.core.controller import (
 )
 from repro.core.config import PipelineVariant
 from repro.core.pipeline import PipelineModel
-from repro.core.scheduler import ChipScheduler, MultiplicationJob
+from repro.core.scheduler import ChipScheduler, ChipTimeline, MultiplicationJob
 from repro.core.stages import CostPolicy, StageBlock
-from repro.serve.scheduler import ChipTimeline
 
 
 class TestCompilation:

@@ -52,21 +52,21 @@ class TestFleetConstruction:
         template = CryptoPimChip(total_banks=64)
         fleet = ChipFleet(num_chips=3, chip=template)
         assert len(fleet) == 3
-        assert all(s.gate.timeline.chip.total_banks == 64
+        assert all(s.timeline.chip.total_banks == 64
                    for s in fleet.shards)
         # replicas are independent objects, not one shared chip
-        chips = {id(s.gate.timeline.chip) for s in fleet.shards}
+        chips = {id(s.timeline.chip) for s in fleet.shards}
         assert len(chips) == 3
 
     def test_chip_replicate_validates(self):
         with pytest.raises(ValueError):
             CryptoPimChip().replicate(0)
 
-    def test_single_chip_fleet_gate_is_shard_zero(self):
+    def test_single_chip_is_a_fleet_of_one(self):
         fleet = ChipFleet(num_chips=1)
-        assert fleet.gate is fleet.shards[0].gate
-        assert fleet.capacity_for(256) == \
-            fleet.gate.timeline.chip.configure(256).parallel_multiplications
+        assert len(fleet.shards) == 1
+        assert fleet.capacity_for(256) == fleet.shards[0].timeline.chip \
+            .configure(256).parallel_multiplications
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +76,13 @@ class TestFleetConstruction:
 class TestRouting:
     def test_affinity_prefers_configured_shard(self):
         fleet = ChipFleet(num_chips=4)
-        fleet.shards[2].gate.timeline.dispatch(1024, 1)
+        fleet.shards[2].timeline.dispatch(1024, 1)
         assert fleet.route(1024) is fleet.shards[2]
         assert fleet.counters["routed.affinity"] == 1
 
     def test_fresh_shard_claimed_before_reconfiguring_one(self):
         fleet = ChipFleet(num_chips=3)
-        fleet.shards[0].gate.timeline.dispatch(1024, 1)
+        fleet.shards[0].timeline.dispatch(1024, 1)
         # 256 has no affinity shard; an unconfigured shard must be chosen
         # (first configuration costs nothing; rewiring shard 0 would)
         pick = fleet.route(256)
@@ -91,9 +91,9 @@ class TestRouting:
 
     def test_two_choices_prefers_less_loaded(self):
         fleet = ChipFleet(num_chips=2)
-        fleet.shards[0].gate.timeline.dispatch(256, 1)
+        fleet.shards[0].timeline.dispatch(256, 1)
         for _ in range(4):  # genuinely heavier virtual clock on shard 1
-            fleet.shards[1].gate.timeline.dispatch(256, 64)
+            fleet.shards[1].timeline.dispatch(256, 64)
         # both have 256 affinity; every probe pair contains both shards,
         # so the lighter one wins deterministically
         picks = [fleet.route(256).index for _ in range(16)]
@@ -103,11 +103,11 @@ class TestRouting:
         fleet = ChipFleet(num_chips=2, spill_margin_cycles=0)
         light = fleet.shards[1]
         heavy = fleet.shards[0]
-        heavy.gate.timeline.dispatch(1024, 1)
+        heavy.timeline.dispatch(1024, 1)
         # pile work on the affinity shard until waiting beats rewiring
-        span = heavy.gate.timeline.span_estimate(1024)
+        span = heavy.timeline.span_estimate(1024)
         while heavy.load_cycles() <= light.load_cycles() + 2 * span:
-            heavy.gate.timeline.dispatch(1024, 64)
+            heavy.timeline.dispatch(1024, 64)
         pick = fleet.route(1024)
         assert pick is light
         assert fleet.counters["routed.spill"] == 1
@@ -120,7 +120,7 @@ class TestRouting:
 
     def test_unhealthy_shard_never_routed(self):
         fleet = ChipFleet(num_chips=2)
-        fleet.shards[0].gate.timeline.dispatch(256, 1)
+        fleet.shards[0].timeline.dispatch(256, 1)
         fleet.mark_unhealthy(0)
         for _ in range(8):
             assert fleet.route(256).index == 1
@@ -151,7 +151,7 @@ class TestLease:
         async def scenario():
             fleet = ChipFleet(num_chips=2)
             async with fleet.lease(256) as shard:
-                shard.gate.timeline.dispatch(256, 4)
+                shard.timeline.dispatch(256, 4)
                 return shard.index
 
         index = serve(scenario())
@@ -164,7 +164,7 @@ class TestLease:
         async def scenario():
             fleet = ChipFleet(num_chips=2)
             # pin all 256-affinity onto shard 0
-            fleet.shards[0].gate.timeline.dispatch(256, 1)
+            fleet.shards[0].timeline.dispatch(256, 1)
             entered = asyncio.Event()
             release = asyncio.Event()
 
@@ -176,7 +176,7 @@ class TestLease:
 
             async def waiter():
                 async with fleet.lease(256) as shard:
-                    shard.gate.timeline.dispatch(256, 2)
+                    shard.timeline.dispatch(256, 2)
                     return shard.index
 
             hold = asyncio.create_task(holder())
@@ -198,8 +198,8 @@ class TestLease:
             fleet = ChipFleet(num_chips=2)
             async with fleet.lease(256) as shard:
                 fleet.mark_unhealthy(shard.index)
-                # already holding the gate: the batch completes normally
-                timing = shard.gate.timeline.dispatch(256, 4)
+                # already holding the lock: the batch completes normally
+                timing = shard.timeline.dispatch(256, 4)
                 return timing.count
 
         assert serve(scenario()) == 4
@@ -210,7 +210,7 @@ class TestLease:
             with pytest.raises(RuntimeError):
                 async with fleet.lease(256):
                     raise RuntimeError("boom")
-            # gate must be free again
+            # lock must be free again
             async with fleet.lease(256) as shard:
                 return shard.pending_leases
 
@@ -224,12 +224,12 @@ class TestLease:
 class TestFleetSnapshot:
     def test_aggregates_and_skew(self):
         fleet = ChipFleet(num_chips=2)
-        fleet.shards[0].gate.timeline.dispatch(256, 8)
-        fleet.shards[0].gate.timeline.dispatch(1024, 8)  # one reconfig
-        fleet.shards[1].gate.timeline.dispatch(2048, 8)
+        fleet.shards[0].timeline.dispatch(256, 8)
+        fleet.shards[0].timeline.dispatch(1024, 8)  # one reconfig
+        fleet.shards[1].timeline.dispatch(2048, 8)
         snap = fleet.snapshot()
-        t0 = fleet.shards[0].gate.timeline
-        t1 = fleet.shards[1].gate.timeline
+        t0 = fleet.shards[0].timeline
+        t1 = fleet.shards[1].timeline
         assert snap["makespan_cycles"] == max(t0.clock_cycles, t1.clock_cycles)
         assert snap["busy_cycles"] == t0.busy_cycles + t1.busy_cycles
         assert snap["reconfig_cycles"] == RECONFIGURATION_CYCLES
@@ -243,7 +243,7 @@ class TestFleetSnapshot:
 
     def test_render_mentions_drained_chips(self):
         fleet = ChipFleet(num_chips=2)
-        fleet.shards[0].gate.timeline.dispatch(256, 2)
+        fleet.shards[0].timeline.dispatch(256, 2)
         fleet.mark_unhealthy(1)
         text = fleet.render()
         assert "1/2 chips healthy" in text
@@ -369,13 +369,11 @@ class TestFleetService:
                 result = await service.submit(ServeRequest(
                     kind=RequestKind.POLYMUL, n=256,
                     payload=polymul_payload(rng)))
-                return result, service.fleet.num_chips, \
-                    service.gate is service.fleet.shards[0].gate
+                return result, service.fleet.num_chips
 
-        result, chips, same_gate = serve(scenario())
+        result, chips = serve(scenario())
         assert result.ok and result.chip == 0
         assert chips == 1
-        assert same_gate
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 metrics, the asyncio service, and the load generator."""
 
 import asyncio
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -509,7 +510,7 @@ class TestServiceCorrectness:
                     service.submit(request_for(
                         RequestKind.BGV_MULTIPLY, n=1024, payload=pair))
                     for pair in pairs))
-                timeline = service.gate.timeline
+                timeline = service.fleet.shards[0].timeline
             assert [r.batch_size for r in results] == [2, 2]
             assert timeline.batches == 1 and timeline.items == 10
             config_n = timeline.chip.configure(1024)
@@ -548,7 +549,7 @@ class TestServiceCorrectness:
             assert all(r.ok for r in results)
             # both degrees ran on ONE chip timeline: a reconfiguration
             # was charged when the degree switched
-            assert service.gate.timeline.reconfigurations >= 1
+            assert service.fleet.shards[0].timeline.reconfigurations >= 1
             return service
 
         serve(scenario())
@@ -565,27 +566,40 @@ class TestServiceAdmission:
         serve(scenario())
 
     def test_poisoned_operand_rejected_alone(self, rng):
-        """One non-numeric operand among 16 POLYMUL requests that share a
-        window is refused at admission; the other 15 ride one batch and
-        only they are charged to the chip."""
+        """Non-integer operands among 16 POLYMUL requests that share a
+        window are refused at admission, not cast (floats truncated,
+        negatives wrapped, digit strings parsed); the other 12 ride one
+        batch and only they are charged to the chip."""
+        poisons = {
+            7: ["x"] * 256,
+            2: [1.5] * 256,
+            11: np.full(256, -1),
+            13: ["7"] * 256,
+        }
+
         async def scenario():
             pairs = [polymul_payload(rng) for _ in range(16)]
-            pairs[7] = (pairs[7][0], ["x"] * 256)
+            for i, poison in poisons.items():
+                pairs[i] = (pairs[i][0], poison)
             config = ServiceConfig(max_batch_wait_s=0)
             async with CryptoPimService(config) as service:
-                results = await asyncio.gather(*(
+                results = await asyncio.wait_for(asyncio.gather(*(
                     service.submit(request_for(payload=pair))
-                    for pair in pairs))
-                return pairs, results, service.gate.timeline.snapshot()
+                    for pair in pairs)), timeout=10)
+                ledger = service.fleet.shards[0].timeline.snapshot()
+                return pairs, results, ledger
 
         pairs, results, ledger = serve(scenario())
-        assert results[7].reason == RejectReason.INVALID
-        served = results[:7] + results[8:]
-        assert all(r.ok and r.batch_size == 15 for r in served)
+        for i in poisons:
+            assert results[i].reason == RejectReason.INVALID
+        kept = [i for i in range(16) if i not in poisons]
+        assert all(results[i].ok and results[i].batch_size == 12
+                   for i in kept)
         engine = NttEngine.for_degree(256)
-        for pair, result in zip(pairs[:7] + pairs[8:], served):
-            assert np.array_equal(result.value, engine.multiply(*pair))
-        assert ledger["batches"] == 1 and ledger["items"] == 15
+        for i in kept:
+            assert np.array_equal(results[i].value,
+                                  engine.multiply(*pairs[i]))
+        assert ledger["batches"] == 1 and ledger["items"] == 12
 
     @pytest.mark.parametrize("payload", [
         ([1] * 256, [2] * 255),            # one operand one short
@@ -625,13 +639,13 @@ class TestServiceAdmission:
                 x = scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
                 good = await service.submit(request_for(
                     RequestKind.BGV_MULTIPLY, n=1024, payload=(x, x)))
-                before = service.gate.timeline.snapshot()
-                # passes admission (both sides have ``parts``) but the
-                # parts are not ring elements, so the tensor raises
-                bogus = SimpleNamespace(parts=["not", "ring"])
+                before = service.fleet.shards[0].timeline.snapshot()
+                # passes admission (its parts are ring elements) but it
+                # carries no noise bound, so the tensor raises
+                bogus = SimpleNamespace(parts=list(x.parts))
                 bad = await service.submit(request_for(
                     RequestKind.BGV_MULTIPLY, n=1024, payload=(x, bogus)))
-                after = service.gate.timeline.snapshot()
+                after = service.fleet.shards[0].timeline.snapshot()
             return good, bad, before, after
 
         good, bad, before, after = serve(scenario())
@@ -640,6 +654,56 @@ class TestServiceAdmission:
         assert before["batches"] == 1
         for key in ("clock_cycles", "busy_cycles", "batches", "items"):
             assert after[key] == before[key], key
+
+    def test_empty_he_operand_refused_and_queue_still_served(self, rng):
+        """A ciphertext with no parts would be charged zero chip
+        multiplications; it is refused at admission, and a good pair sent
+        after it on the same (kind, n) queue is still served."""
+        async def scenario():
+            config = ServiceConfig(max_batch_wait_s=0)
+            async with CryptoPimService(config) as service:
+                scheme, sk = service.bgv(1024)
+                x = scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
+                empty = replace(x, parts=[])
+                bad = await asyncio.wait_for(service.submit(request_for(
+                    RequestKind.BGV_MULTIPLY, n=1024, payload=(x, empty))),
+                    timeout=10)
+                good = await asyncio.wait_for(service.submit(request_for(
+                    RequestKind.BGV_MULTIPLY, n=1024, payload=(x, x))),
+                    timeout=10)
+            return bad, good
+
+        bad, good = serve(scenario())
+        assert bad.reason == RejectReason.INVALID
+        assert good.ok
+
+    @pytest.mark.parametrize("bogus", ["strings", "wrong_degree"])
+    def test_non_ring_he_operand_rejected_alone(self, rng, bogus):
+        """An HE operand whose parts are not ring elements of the queue's
+        degree is refused at admission instead of failing the window it
+        would have joined: 3 good pairs are served, 1 refused."""
+        async def scenario():
+            config = ServiceConfig(max_batch_wait_s=0)
+            async with CryptoPimService(config) as service:
+                scheme, sk = service.bgv(1024)
+                xs = [scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
+                      for _ in range(3)]
+                if bogus == "strings":
+                    bad = SimpleNamespace(parts=["not", "ring"])
+                else:
+                    wide, wide_sk = service.bgv(2048)
+                    bad = wide.encrypt(wide_sk,
+                                       rng.integers(0, wide.t, 2048))
+                pairs = [(x, x) for x in xs] + [(xs[0], bad)]
+                return await asyncio.wait_for(asyncio.gather(*(
+                    service.submit(request_for(
+                        RequestKind.BGV_MULTIPLY, n=1024, payload=pair))
+                    for pair in pairs)), timeout=10)
+
+        results = serve(scenario())
+        assert [r.ok for r in results] == [True, True, True, False]
+        assert results[3].reason == RejectReason.INVALID
+        assert all(r.batch_size == 3 for r in results[:3])
 
     def test_unsupported_degree(self):
         async def scenario():
@@ -798,7 +862,7 @@ def batching_ledger(batch_capacity):
                 service, PROFILES["polymul-1024"], total_requests=160,
                 concurrency=64, seed=0)
             return (report.completed, service.fleet.capacity_for(1024),
-                    service.gate.timeline.snapshot())
+                    service.fleet.shards[0].timeline.snapshot())
 
     return serve(scenario())
 
@@ -829,6 +893,6 @@ class TestServiceReporting:
 
         summary, text = serve(scenario())
         assert summary["metrics"]["counters"]["requests_completed"] == 1
-        assert summary["chip"]["batches"] == 1
+        assert summary["fleet"]["shards"][0]["batches"] == 1
         assert "serving metrics" in text
-        assert "chip timeline" in text
+        assert "fleet: 1/1 chips" in text
