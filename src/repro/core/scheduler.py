@@ -72,7 +72,6 @@ class BatchTiming:
     start_cycle: int
     reconfiguration_cycles: int
     completion_cycles: List[int]   # absolute chip cycle per item, in order
-    completion_us: List[float]
     seq: int = 0                   # 1-based dispatch index on its timeline
 
     @property
@@ -150,7 +149,6 @@ class ChipTimeline:
             start_cycle=start,
             reconfiguration_cycles=reconfig,
             completion_cycles=completions,
-            completion_us=[PAPER_DEVICE.cycles_to_us(c) for c in completions],
             seq=self.batches,
         )
 

@@ -26,6 +26,7 @@ from ..ntt.params import NttParams, params_for_degree
 from ..ntt.polynomial import (MultiplierBackend, Polynomial, centered_block,
                               multiply_rows)
 from ..ntt.transform import NttEngine
+from .sampling import MAX_CBD_ETA, cbd_block
 
 __all__ = ["KyberPke", "KyberPublicKey", "KyberSecretKey", "KyberCiphertext",
            "KyberKem"]
@@ -98,8 +99,8 @@ class KyberPke:
                  rng: Optional[np.random.Generator] = None):
         if k < 1:
             raise ValueError("module rank k must be >= 1")
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
+        if not 1 <= eta <= MAX_CBD_ETA:
+            raise ValueError(f"eta must be in [1, {MAX_CBD_ETA}]")
         self.k = k
         self.eta = eta
         self.params: NttParams = params_for_degree(256)
@@ -107,23 +108,15 @@ class KyberPke:
         self.rng = rng if rng is not None else np.random.default_rng()
 
     def _noise(self, count: int, polys: int) -> np.ndarray:
-        """``(count, polys, n)`` CBD_eta residues from one generator call.
+        """``(count, polys, n)`` CBD_eta residues from one byte-stream draw.
 
-        The draw consumes the generator exactly as ``count * polys``
-        successive :func:`~repro.crypto.sampling.cbd_poly` calls would
-        (coins ``a`` then ``b`` per polynomial), so batches reproduce
-        sequential sampling bit for bit.  ``int32`` coins take one 32-bit
-        draw each, like the default ``int64``, at half the memory.
+        :func:`~repro.crypto.sampling.cbd_block` reads the generator
+        exactly as ``count * polys`` successive
+        :func:`~repro.crypto.sampling.cbd_poly` calls would, so batches
+        reproduce sequential sampling bit for bit.
         """
-        coins = self.rng.integers(
-            0, 2, (count, polys, 2, self.params.n, self.eta), dtype=np.int32)
-        # add the eta coin planes one by one: a reduce over the short
-        # trailing axis costs several times more
-        ones = coins[..., 0]
-        for i in range(1, self.eta):
-            ones = ones + coins[..., i]
-        return ((ones[:, :, 0] - ones[:, :, 1]) % self.params.q).astype(
-            np.uint64)
+        return cbd_block(self.rng, self.eta, (count, polys, self.params.n),
+                         self.params.q)
 
     def _backend(self) -> MultiplierBackend:
         return self.backend or NttEngine.shared(self.params)

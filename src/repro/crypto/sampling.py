@@ -4,8 +4,9 @@ RLWE schemes need three distributions over ``R_q``:
 
 * uniform polynomials (public randomness ``a``);
 * small *error/secret* polynomials - we provide the centered binomial
-  distribution (CBD) used by NewHope/Kyber and a discrete Gaussian sampled
-  through a cumulative distribution table (CDT), the classic constant-time
+  distribution (CBD) used by NewHope/Kyber, drawn from a byte stream as
+  FIPS 203's SamplePolyCBD does, and a discrete Gaussian sampled through
+  a cumulative distribution table (CDT), the classic constant-time
   hardware approach;
 * ternary polynomials (coefficients in ``{-1, 0, 1}``).
 
@@ -16,7 +17,8 @@ determinism - tests and examples pass seeded generators.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from ..ntt.polynomial import Polynomial
 
 __all__ = [
     "uniform_poly",
+    "cbd_block",
     "cbd_poly",
     "ternary_poly",
     "DiscreteGaussianSampler",
@@ -37,17 +40,56 @@ def uniform_poly(params: NttParams, rng: np.random.Generator) -> Polynomial:
     return Polynomial(rng.integers(0, params.q, params.n, dtype=np.int64), params)
 
 
+#: the widest CBD the byte-stream rule serves: two bytes per coefficient
+MAX_CBD_ETA = 8
+
+
+@lru_cache(maxsize=None)
+def _cbd_table(eta: int, q: int) -> np.ndarray:
+    """The ``2^(2 eta)``-entry CBD_eta table as residues mod ``q``: entry
+    ``x`` is ``popcount(x & (2^eta - 1)) - popcount(x >> eta)``."""
+    if not 1 <= eta <= MAX_CBD_ETA:
+        raise ValueError(f"eta must be in [1, {MAX_CBD_ETA}], got {eta}")
+    x = np.arange(1 << (2 * eta))
+    coins = [(x >> bit) & 1 for bit in range(2 * eta)]
+    table = ((sum(coins[:eta]) - sum(coins[eta:])) % q).astype(np.uint64)
+    table.setflags(write=False)
+    return table
+
+
+def cbd_block(rng: np.random.Generator, eta: int,
+              shape: Union[int, Tuple[int, ...]], q: int) -> np.ndarray:
+    """A ``shape`` block of CBD_eta residues mod ``q`` (``uint64``), drawn
+    from one ``rng.bytes`` call.
+
+    Each coefficient reads ``ceil(2 eta / 8)`` bytes (little-endian): its
+    low ``eta`` bits are the ``a`` coins and the next ``eta`` the ``b``
+    coins, so the value is ``popcount(a) - popcount(b)`` and any bits
+    above ``2 eta`` are dropped - FIPS 203's SamplePolyCBD over a byte
+    stream (https://doi.org/10.6028/NIST.FIPS.203).  One cached table
+    lookup per coefficient replaces ``2 eta`` coin draws.
+
+    Blocks drawn back to back read one contiguous stream whenever each
+    block's byte count is a multiple of 4 (every ring with n >= 4), so one
+    ``(count, n)`` block equals ``count`` successive ``n``-coefficient
+    draws bit for bit.
+    """
+    table = _cbd_table(eta, q)
+    width = 1 if eta <= 4 else 2
+    count = int(np.prod(shape))
+    stream = np.frombuffer(rng.bytes(count * width),
+                           dtype=np.uint8 if width == 1 else "<u2")
+    return table[stream & (len(table) - 1)].reshape(shape)
+
+
 def cbd_poly(params: NttParams, rng: np.random.Generator, eta: int = 2) -> Polynomial:
     """Centered binomial distribution ``CBD_eta``: sum of ``eta`` coin
     differences per coefficient; support ``[-eta, eta]``, variance ``eta/2``.
 
-    This is the error distribution of Kyber (eta=2) and NewHope (eta=8).
+    This is the error distribution of Kyber (eta=2) and NewHope (eta=8),
+    drawn by :func:`cbd_block`.
     """
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    ones_a = rng.integers(0, 2, (params.n, eta)).sum(axis=1)
-    ones_b = rng.integers(0, 2, (params.n, eta)).sum(axis=1)
-    return Polynomial((ones_a - ones_b) % params.q, params)
+    return Polynomial(cbd_block(rng, eta, params.n, params.q), params)
 
 
 def ternary_poly(params: NttParams, rng: np.random.Generator,

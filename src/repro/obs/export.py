@@ -81,7 +81,9 @@ def trace_events(traces: Sequence[Span]) -> List[Dict[str, Any]]:
         for span in root.walk():
             if not span.finished:
                 continue
-            args: Dict[str, Any] = {"trace_id": span.trace_id,
+            # a batch span shared by several traces is exported once
+            # under each of them, as that request's own stage
+            args: Dict[str, Any] = {"trace_id": root.trace_id,
                                     "span_id": span.span_id,
                                     "stage": span.name}
             args.update(span.attrs)

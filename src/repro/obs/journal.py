@@ -89,13 +89,19 @@ class TraceJournal:
         """Fold a finished trace into the aggregates and maybe retain it."""
         self.completed += 1
         self.roots.observe(root.duration_s, root.cycles)
-        for span in root.walk():
-            if span is root:
-                continue
-            stats = self.stages.get(span.name)
-            if stats is None:
-                stats = self.stages[span.name] = StageStats()
-            stats.observe(span.duration_s, span.cycles)
+        # every descendant, once per trace that lists it (a shared batch
+        # span counts for each member), off an explicit stack of the
+        # child lists still to visit
+        stages = self.stages
+        pending = [root.children]
+        while pending:
+            for span in pending.pop():
+                stats = stages.get(span.name)
+                if stats is None:
+                    stats = stages[span.name] = StageStats()
+                stats.observe(span.duration_s, span.cycles)
+                if span.children:
+                    pending.append(span.children)
         self._retain_slowest(root)
         self._retain_sample(root)
 

@@ -120,6 +120,12 @@ class Span:
         self.children.append(span)
         return span
 
+    def attach(self, span: "Span") -> "Span":
+        """List a finished span made by :meth:`Tracer.batch_span` among
+        this span's children; several traces may list the same one."""
+        self.children.append(span)
+        return span
+
     def set(self, **attrs: Any) -> "Span":
         """Attach typed attributes; returns self for chaining."""
         self.attrs.update(attrs)
@@ -151,7 +157,8 @@ class Span:
     # -- traversal ------------------------------------------------------------
 
     def walk(self) -> Iterator["Span"]:
-        """This span, then every descendant (pre-order)."""
+        """This span, then every descendant (pre-order); a shared batch
+        span is visited under each trace that lists it."""
         yield self
         for child in self.children:
             yield from child.walk()
@@ -227,6 +234,25 @@ class Tracer:
         it as a context manager - rule OBS001)."""
         return self.start_trace(name, start_s=start_s, **attrs)
 
+    def batch_span(self, name: str, start_s: float, end_s: float,
+                   cycle_start: Optional[int] = None,
+                   cycle_end: Optional[int] = None, **attrs: Any) -> Span:
+        """A born-finished stage shared by every trace of one batch.
+
+        The span belongs to no single trace (``trace_id`` 0, no parent):
+        each member's root lists it with :meth:`Span.attach`, so a stage
+        that is the same interval for the whole batch costs one span per
+        batch, not one per request.
+        """
+        span = Span(name, span_id=self.next_id(), start_s=start_s,
+                    tracer=self)
+        span.end_s = end_s
+        span.cycle_start = cycle_start
+        span.cycle_end = cycle_end
+        if attrs:
+            span.attrs.update(attrs)
+        return span
+
     def _complete(self, root: Span) -> None:
         if self.journal is not None:
             self.journal.record(root)
@@ -250,6 +276,9 @@ class _NullSpan(Span):
               cycle_start: Optional[int] = None,
               cycle_end: Optional[int] = None,
               **attrs: Any) -> "Span":
+        return self
+
+    def attach(self, span: "Span") -> "Span":
         return self
 
     def set(self, **attrs: Any) -> "Span":
@@ -281,6 +310,11 @@ class NullTracer(Tracer):
 
     def start_span(self, name: str, start_s: Optional[float] = None,
                    **attrs: Any) -> Span:
+        return NULL_SPAN
+
+    def batch_span(self, name: str, start_s: float, end_s: float,
+                   cycle_start: Optional[int] = None,
+                   cycle_end: Optional[int] = None, **attrs: Any) -> Span:
         return NULL_SPAN
 
 

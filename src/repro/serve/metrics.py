@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,33 @@ class LatencyHistogram:
             self._samples.append(value)
         else:  # reservoir sampling keeps a uniform subset
             slot = int(self._rng.integers(0, self.count))
+            if slot < _RESERVOIR:
+                self._samples[slot] = value
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """``record`` each of ``values`` in order, in one call.
+
+        The state afterwards is the same as after the sequential calls:
+        count, sum (added left to right), max, samples and the reservoir
+        generator's draws.  While the reservoir has room the samples go
+        in as one array extend; only samples beyond it pay the
+        per-sample replacement rule.
+        """
+        values = [float(v) for v in values]
+        if not values:
+            return
+        seen = self.count
+        self.count += len(values)
+        total = self._sum
+        for value in values:
+            total += value
+        self._sum = total
+        top = max(values)
+        self._max = top if seen == 0 else max(self._max, top)
+        room = _RESERVOIR - len(self._samples)
+        self._samples.extend(values[:room])
+        for offset, value in enumerate(values[room:], start=room + 1):
+            slot = int(self._rng.integers(0, seen + offset))
             if slot < _RESERVOIR:
                 self._samples[slot] = value
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
 
+from ..pim.device import PAPER_DEVICE
+
 __all__ = [
     "RequestKind",
     "RejectReason",
@@ -89,8 +91,12 @@ class ServeResult:
     total_s: float            # enqueue -> result ready (wall clock)
     batch_size: int           # occupancy of the batch this request rode in
     completion_cycle: int     # simulated chip cycle the result came back
-    completion_us: float      # same, in microseconds of chip time
     chip: int = 0             # fleet shard index the batch executed on
+
+    @property
+    def completion_us(self) -> float:
+        """``completion_cycle`` in microseconds of chip time."""
+        return PAPER_DEVICE.cycles_to_us(self.completion_cycle)
 
     @property
     def ok(self) -> bool:

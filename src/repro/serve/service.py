@@ -60,7 +60,7 @@ from ..obs.span import NULL_SPAN, NULL_TRACER, Span, Tracer
 from .admission import AdmissionController, AdmissionPolicy
 from .batcher import BatchWindow, collect_batch
 from .fleet import ChipFleet, FleetDrained
-from .metrics import MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .requests import (
     Rejection,
     RejectReason,
@@ -167,14 +167,64 @@ class _Pending:
     trace: Span = NULL_SPAN
 
 
+class _Backlog:
+    """The running count of requests queued across all of a service's
+    queues: what ``sum(qsize())`` over them would read, kept in O(1)."""
+
+    __slots__ = ("items",)
+
+    def __init__(self) -> None:
+        self.items = 0
+
+
+class _CountedQueue(asyncio.PriorityQueue):
+    """A priority queue that keeps its service's :class:`_Backlog` as
+    items go in and out, whichever path (submit, a batch window, stop)
+    moves them."""
+
+    def __init__(self, backlog: _Backlog):
+        super().__init__()
+        self._backlog = backlog
+
+    def _put(self, item: Any) -> None:
+        super()._put(item)
+        self._backlog.items += 1
+
+    def _get(self) -> Any:
+        self._backlog.items -= 1
+        return super()._get()
+
+
+class _BatchMeters:
+    """One queue's completion instruments, resolved from the registry
+    when its first batch completes."""
+
+    __slots__ = ("batches", "size", "occupancy", "completed", "e2e",
+                 "queue_wait", "service", "kind_e2e")
+
+    def __init__(self, metrics: MetricsRegistry, kind: RequestKind):
+        self.batches = metrics.counter("batches_dispatched")
+        self.size = metrics.histogram("batch.size", unit="items")
+        self.occupancy = metrics.histogram("batch.occupancy", unit="frac")
+        self.completed = metrics.counter("requests_completed")
+        self.e2e = metrics.histogram("latency.e2e")
+        self.queue_wait = metrics.histogram("latency.queue_wait")
+        self.service = metrics.histogram("latency.service")
+        self.kind_e2e = metrics.histogram(f"latency.e2e.{kind.value}")
+
+
 @dataclass
 class _QueueState:
-    """One per-(kind, degree) priority queue and its drain task."""
+    """One per-(kind, degree) priority queue and its drain task, with its
+    metric handles (resolved on first use, so the registry only ever
+    holds instruments that have seen an event)."""
 
     key: Tuple[RequestKind, int]
-    queue: "asyncio.PriorityQueue"
+    queue: _CountedQueue
     window: BatchWindow
     worker: Optional["asyncio.Task"] = field(repr=False, default=None)
+    gauges: Optional[Tuple[Gauge, Gauge]] = field(repr=False, default=None)
+    meters: Optional[_BatchMeters] = field(repr=False, default=None)
 
 
 class CryptoPimService:
@@ -200,6 +250,13 @@ class CryptoPimService:
                                policy=config.routing, seed=config.seed)
         self._admission = AdmissionController(config.admission_policy())
         self._queues: Dict[Tuple[RequestKind, int], _QueueState] = {}
+        self._backlog = _Backlog()
+        # counter handles per request kind and per rejection reason, and
+        # per-chip dispatch counters, each resolved on first use
+        self._kind_counters: Dict[Optional[RequestKind],
+                                  Tuple[Counter, ...]] = {}
+        self._reject_counters: Dict[RejectReason, Tuple[Counter, Counter]] = {}
+        self._chip_counters: Dict[int, Counter] = {}
         self._running = True
         self._rng = np.random.default_rng(config.seed)
         # lazily-built execution contexts, keyed by degree
@@ -315,7 +372,7 @@ class CryptoPimService:
                         or self.fleet.capacity_for(request.n))
             state = _QueueState(
                 key=key,
-                queue=asyncio.PriorityQueue(),
+                queue=_CountedQueue(self._backlog),
                 window=BatchWindow(capacity=capacity,
                                    max_wait_s=self.config.max_batch_wait_s),
             )
@@ -325,24 +382,56 @@ class CryptoPimService:
         return state
 
     def _depth_gauge(self, state: _QueueState) -> None:
-        key = f"queue_depth.{state.key[0].value}.{state.key[1]}"
-        self.metrics.gauge(key).set(state.queue.qsize())
-        self.metrics.gauge("backlog_total").set(
-            sum(s.queue.qsize() for s in self._queues.values()))
+        """Set the queue's depth gauge and ``backlog_total``, the running
+        count of every queued request - O(1) in the number of queues."""
+        gauges = state.gauges
+        if gauges is None:
+            kind, n = state.key
+            gauges = state.gauges = (
+                self.metrics.gauge(f"queue_depth.{kind.value}.{n}"),
+                self.metrics.gauge("backlog_total"))
+        depth, backlog = gauges
+        depth.set(state.queue.qsize())
+        backlog.set(self._backlog.items)
+
+    def _count_submit(self, kind: Optional[RequestKind]) -> None:
+        """``requests_submitted`` and ``requests.<kind>``, rejected
+        requests included; an unknown kind (``None``) has no per-kind
+        counter."""
+        counters = self._kind_counters.get(kind)
+        if counters is None:
+            counters = (self.metrics.counter("requests_submitted"),)
+            if kind is not None:
+                counters += (self.metrics.counter(f"requests.{kind.value}"),)
+            self._kind_counters[kind] = counters
+        for counter in counters:
+            counter.inc()
+
+    def _count_rejected(self, reason: RejectReason, count: int = 1) -> None:
+        counters = self._reject_counters.get(reason)
+        if counters is None:
+            counters = self._reject_counters[reason] = (
+                self.metrics.counter("requests_rejected"),
+                self.metrics.counter(f"rejected.{reason.value}"))
+        for counter in counters:
+            counter.inc(count)
 
     async def submit(self,
                      request: ServeRequest) -> Union[ServeResult, Rejection]:
         """Serve one request; resolves to a ServeResult or a Rejection."""
-        self.metrics.counter("requests_submitted").inc()
-        self.metrics.counter(f"requests.{request.kind.value}").inc()
+        kind = request.kind if isinstance(request.kind, RequestKind) else None
+        self._count_submit(kind)
         loop = asyncio.get_running_loop()
         t0 = loop.time()
-        # NULL_SPAN when tracing is off: every span call below no-ops
-        trace = self.tracer.start_trace(
-            "request", start_s=t0, request_id=request.request_id,
-            kind=request.kind.value, n=request.n, tenant=request.tenant,
-            priority=request.priority)
-        admit_span = trace.child("admit", start_s=t0)
+        if self.tracer.enabled:
+            trace = self.tracer.start_trace(
+                "request", start_s=t0, request_id=request.request_id,
+                kind=repr(request.kind) if kind is None else kind.value,
+                n=request.n, tenant=request.tenant,
+                priority=request.priority)
+            admit_span = trace.child("admit", start_s=t0)
+        else:
+            trace = admit_span = NULL_SPAN
         try:
             payload, rejection = self._validate(request)
             if rejection is None:
@@ -363,8 +452,7 @@ class CryptoPimService:
                 (request.priority, request.request_id, pending))
             self._depth_gauge(state)
             return await pending.future
-        self.metrics.counter("requests_rejected").inc()
-        self.metrics.counter(f"rejected.{rejection.reason.value}").inc()
+        self._count_rejected(rejection.reason)
         trace.set(rejected=rejection.reason.value).finish(end_s=loop.time())
         return rejection
 
@@ -431,64 +519,77 @@ class CryptoPimService:
                                  detail="service stopped mid-dispatch")
                 raise
             done_time = loop.time()
-            self.metrics.counter("batches_dispatched").inc()
-            self.metrics.counter(f"fleet.dispatched.chip{chip_index}").inc()
-            self.metrics.histogram("batch.size", unit="items").record(
-                len(pendings))
-            self.metrics.histogram("batch.occupancy", unit="frac").record(
-                len(pendings) / state.window.capacity)
-            # a member completes with the last of its own multiplications
-            ends = itertools.accumulate(mults)
-            for i, (pending, value, end) in enumerate(
-                    zip(pendings, values, ends)):
-                cycle_idx = end - 1
-                result = ServeResult(
-                    request_id=pending.request.request_id,
-                    kind=kind,
-                    n=n,
-                    value=value,
-                    queue_wait_s=close_time - pending.enqueued_at,
-                    service_s=service_s,
-                    total_s=done_time - pending.enqueued_at,
-                    batch_size=len(pendings),
-                    completion_cycle=timing.completion_cycles[cycle_idx],
-                    completion_us=timing.completion_us[cycle_idx],
-                    chip=chip_index,
-                )
-                self._record_latency(result)
-                if tracing and pending.trace.enabled:
-                    self._trace_member(
-                        pending, i,
-                        dequeued_at if dequeued_at is not None else [],
-                        close_time, exec_start, exec_end, done_time,
-                        timing, chip_index, route_info)
+            results = self._complete_batch(
+                state, pendings, values, mults, timing, chip_index,
+                close_time, done_time, service_s)
+            if tracing:
+                self._trace_batch(
+                    pendings, dequeued_at or [], close_time, exec_start,
+                    exec_end, done_time, timing, chip_index, route_info)
+            for pending, result in zip(pendings, results):
                 if not pending.future.done():
                     pending.future.set_result(result)
 
-    def _trace_member(self, pending: _Pending, index: int,
-                      dequeued_at: List[float], close_time: float,
-                      exec_start: float, exec_end: float, done_time: float,
-                      timing: BatchTiming, chip: int,
-                      route_info: Optional[Dict[str, Any]]) -> None:
-        """Attach the batch's stage spans to one member's trace.
+    def _complete_batch(self, state: _QueueState, pendings: List[_Pending],
+                        values: List[Any], mults: List[int],
+                        timing: BatchTiming, chip: int, close_time: float,
+                        done_time: float,
+                        service_s: float) -> List[ServeResult]:
+        """Build the batch's results from its shared stamps and record the
+        batch and its members' latencies, one call per instrument."""
+        kind, n = state.key
+        size = len(pendings)
+        cycles = timing.completion_cycles
+        # a member completes with the last of its own multiplications
+        results = [
+            ServeResult(
+                request_id=pending.request.request_id, kind=kind, n=n,
+                value=value, queue_wait_s=close_time - pending.enqueued_at,
+                service_s=service_s, total_s=done_time - pending.enqueued_at,
+                batch_size=size, completion_cycle=cycles[end - 1], chip=chip)
+            for pending, value, end in zip(pendings, values,
+                                           itertools.accumulate(mults))]
+        meters = state.meters
+        if meters is None:
+            meters = state.meters = _BatchMeters(self.metrics, kind)
+        chip_counter = self._chip_counters.get(chip)
+        if chip_counter is None:
+            chip_counter = self._chip_counters[chip] = self.metrics.counter(
+                f"fleet.dispatched.chip{chip}")
+        meters.batches.inc()
+        chip_counter.inc()
+        meters.size.record(size)
+        meters.occupancy.record(size / state.window.capacity)
+        meters.completed.inc(size)
+        totals = [result.total_s for result in results]
+        meters.e2e.record_many(totals)
+        meters.queue_wait.record_many(
+            [result.queue_wait_s for result in results])
+        meters.service.record_many([service_s] * size)
+        meters.kind_e2e.record_many(totals)
+        return results
 
-        Every child is born finished from the *shared* stamps the drain
+    def _trace_batch(self, pendings: List[_Pending], dequeued_at: List[float],
+                     close_time: float, exec_start: float, exec_end: float,
+                     done_time: float, timing: BatchTiming, chip: int,
+                     route_info: Optional[Dict[str, Any]]) -> None:
+        """Attach the batch's stage spans to each member's trace.
+
+        Every span is born finished from the *shared* stamps the drain
         loop took once per batch, so consecutive spans meet at identical
-        floats and the root decomposes exactly: admit | queue | window |
-        lease | execute | (result fan-out gap).  The execute span carries
-        the chip-cycle interval the timeline charged for the whole batch
-        (reconfiguration rewiring as a zero-wall-length child).
+        floats and each root decomposes exactly: admit | queue | window |
+        lease | execute | (result fan-out gap).  ``lease`` and ``execute``
+        are the same interval for every member, so they are built once
+        and every member's trace lists the same span objects; ``queue``
+        and ``window`` are per member, split at its own dequeue stamp.
+        The execute span carries the chip-cycle interval the timeline
+        charged for the whole batch (reconfiguration rewiring as a
+        zero-wall-length child).
         """
-        trace = pending.trace
-        dequeued = (dequeued_at[index] if index < len(dequeued_at)
-                    else close_time)
-        trace.child("queue", start_s=pending.enqueued_at, end_s=dequeued)
-        trace.child("window", start_s=dequeued, end_s=close_time,
-                    batch_size=timing.count)
-        lease = trace.child("lease", start_s=close_time, end_s=exec_start)
-        if route_info:
-            lease.set(**route_info)
-        execute = trace.child(
+        tracer = self.tracer
+        lease = tracer.batch_span("lease", start_s=close_time,
+                                  end_s=exec_start, **(route_info or {}))
+        execute = tracer.batch_span(
             "execute", start_s=exec_start, end_s=exec_end,
             cycle_start=timing.clock_start, cycle_end=timing.end_cycle,
             chip=chip, batch_seq=timing.seq, batch_size=timing.count,
@@ -498,24 +599,25 @@ class CryptoPimService:
                 "reconfigure", start_s=exec_start, end_s=exec_start,
                 cycle_start=timing.clock_start, cycle_end=timing.start_cycle,
                 chip=chip, batch_seq=timing.seq)
-        trace.finish(end_s=done_time)
-
-    def _record_latency(self, result: ServeResult) -> None:
-        self.metrics.counter("requests_completed").inc()
-        self.metrics.histogram("latency.e2e").record(result.total_s)
-        self.metrics.histogram("latency.queue_wait").record(result.queue_wait_s)
-        self.metrics.histogram("latency.service").record(result.service_s)
-        self.metrics.histogram(
-            f"latency.e2e.{result.kind.value}").record(result.total_s)
+        for index, pending in enumerate(pendings):
+            trace = pending.trace
+            if not trace.enabled:
+                continue
+            dequeued = (dequeued_at[index] if index < len(dequeued_at)
+                        else close_time)
+            trace.child("queue", start_s=pending.enqueued_at, end_s=dequeued)
+            trace.child("window", start_s=dequeued, end_s=close_time,
+                        batch_size=timing.count)
+            trace.attach(lease)
+            trace.attach(execute)
+            trace.finish(end_s=done_time)
 
     def _fail_batch(self, pendings: List[_Pending], kind: RequestKind,
                     n: int, error: Optional[Exception] = None,
                     reason: RejectReason = RejectReason.INVALID,
                     detail: Optional[str] = None) -> None:
         detail = repr(error) if detail is None else detail
-        self.metrics.counter("requests_rejected").inc(len(pendings))
-        self.metrics.counter(
-            f"rejected.{reason.value}").inc(len(pendings))
+        self._count_rejected(reason, len(pendings))
         for pending in pendings:
             if not pending.future.done():
                 pending.future.set_result(Rejection(

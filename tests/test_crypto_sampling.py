@@ -1,10 +1,13 @@
 """Tests for the lattice samplers."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from repro.crypto.sampling import (
     DiscreteGaussianSampler,
+    cbd_block,
     cbd_poly,
     gaussian_poly,
     ternary_poly,
@@ -59,6 +62,69 @@ class TestCbd:
     def test_invalid_eta(self, params, rng):
         with pytest.raises(ValueError):
             cbd_poly(params, rng, 0)
+
+
+class _Stream:
+    """A stand-in generator whose byte stream is given, counting reads."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.read = 0
+
+    def bytes(self, length: int) -> bytes:
+        chunk = self.data[self.read:self.read + length]
+        self.read += length
+        return chunk
+
+
+class TestCbdBlock:
+    Q = 7681
+
+    @pytest.mark.parametrize("eta", [1, 2, 3, 4, 8])
+    def test_table_is_the_binomial_law(self, eta):
+        """Feed every 2*eta-bit input once: each maps to popcount(low eta
+        bits) - popcount(next eta bits), so exactly C(2 eta, eta + v) of
+        the 2^(2 eta) inputs give the value v - CBD_eta's law, exactly."""
+        inputs = np.arange(1 << (2 * eta))
+        width = 1 if eta <= 4 else 2
+        stream = _Stream(inputs.astype(f"<u{width}").tobytes())
+        values = cbd_block(stream, eta, inputs.shape, self.Q)
+        assert stream.read == width * len(inputs)
+        assert values.dtype == np.uint64
+        residues = values.astype(np.int64)
+        signed = np.where(residues > self.Q // 2, residues - self.Q, residues)
+        for x, got in zip(inputs.tolist(), signed.tolist()):
+            low, high = x & ((1 << eta) - 1), x >> eta
+            assert got == bin(low).count("1") - bin(high).count("1")
+        counts = np.bincount(signed + eta, minlength=2 * eta + 1)
+        assert counts.tolist() == [comb(2 * eta, eta + v)
+                                   for v in range(-eta, eta + 1)]
+
+    @pytest.mark.parametrize("eta, width", [(1, 1), (4, 1), (5, 2), (8, 2)])
+    def test_bytes_per_coefficient(self, eta, width):
+        """ceil(2 eta / 8) bytes per coefficient; bits above 2 eta drop."""
+        stream = _Stream(b"\xff" * 64)
+        values = cbd_block(stream, eta, (4, 8), self.Q)
+        assert stream.read == 32 * width
+        assert values.shape == (4, 8)
+        assert not values.any()  # all coins set: popcounts cancel
+
+    @pytest.mark.parametrize("eta", [0, 9, -1])
+    def test_eta_outside_one_to_eight_refused(self, eta):
+        with pytest.raises(ValueError):
+            cbd_block(np.random.default_rng(1), eta, 16, self.Q)
+
+    @pytest.mark.parametrize("eta", [2, 3, 8])
+    def test_block_equals_successive_draws(self, eta):
+        block = cbd_block(np.random.default_rng(5), eta, (5, 3, 256), self.Q)
+        rng = np.random.default_rng(5)
+        rows = [cbd_block(rng, eta, 256, self.Q) for _ in range(15)]
+        assert np.array_equal(block.reshape(15, 256), np.stack(rows))
+
+    def test_cbd_poly_reads_the_same_stream(self, params):
+        a = cbd_poly(params, np.random.default_rng(9), 3)
+        b = cbd_block(np.random.default_rng(9), 3, params.n, params.q)
+        assert np.array_equal(a.coeffs, b)
 
 
 class TestTernary:

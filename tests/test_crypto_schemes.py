@@ -118,6 +118,11 @@ class TestKyber:
         with pytest.raises(ValueError):
             KyberPke(k=0)
 
+    @pytest.mark.parametrize("eta", [0, 9])
+    def test_eta_outside_the_cbd_table_refused(self, eta):
+        with pytest.raises(ValueError):
+            KyberPke(eta=eta)
+
     def test_message_validation(self):
         pke = KyberPke(rng=_rng(31))
         pk, _ = pke.keygen()

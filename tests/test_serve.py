@@ -415,6 +415,37 @@ class TestMetrics:
         assert summary["count"] == total
         assert summary["p99"] <= summary["max"]
 
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_record_many_matches_sequential_record(self, offset):
+        """Batches that fill the reservoir, cross its boundary and land
+        beyond it leave the same state as one ``record`` per sample,
+        reservoir draws included."""
+        from repro.serve.metrics import _RESERVOIR
+
+        values = np.random.default_rng(17).normal(
+            size=_RESERVOIR + 40).tolist()
+        cuts = [0, 5, _RESERVOIR - offset, _RESERVOIR + 12, len(values)]
+        one, many = LatencyHistogram("a"), LatencyHistogram("b")
+        for value in values:
+            one.record(value)
+        many.record_many([])
+        for lo, hi in zip(cuts, cuts[1:]):
+            many.record_many(values[lo:hi])
+        assert many.count == one.count == len(values)
+        assert many._sum == one._sum
+        assert many._max == one._max
+        assert many._samples == one._samples
+        assert (many._rng.bit_generator.state
+                == one._rng.bit_generator.state)
+        assert many.summary() == one.summary()
+
+    def test_record_many_seeds_max_from_first_batch(self):
+        hist = LatencyHistogram("drift")
+        hist.record_many([-5.0, -7.0])
+        assert hist.summary()["max"] == -5.0
+        hist.record_many(np.array([-9.0, -1.0]))
+        assert hist.summary()["max"] == -1.0
+
 
 # ---------------------------------------------------------------------------
 # the service
