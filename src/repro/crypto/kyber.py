@@ -208,8 +208,11 @@ class KyberPke:
         u = (rows[:, :k] + e1) % q
         v = (rows[:, k] + e2
              + block.astype(np.uint64) * np.uint64(q // 2)) % q
-        return [KyberCiphertext(u=self._polys(u[m]),
-                                v=Polynomial(v[m], self.params, self.backend))
+        # u and v are reduced already: wrap their rows without a second % q
+        wrap = Polynomial.from_residues
+        return [KyberCiphertext(
+                    u=[wrap(row, self.params, self.backend) for row in u[m]],
+                    v=wrap(v[m], self.params, self.backend))
                 for m in range(count)]
 
     def decrypt_many(self, sk: KyberSecretKey,

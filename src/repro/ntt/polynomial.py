@@ -66,6 +66,10 @@ class Polynomial:
         )
         if isinstance(coeffs, np.ndarray):
             arr = arr % params.q
+        self._adopt(arr, params, backend)
+
+    def _adopt(self, arr: np.ndarray, params: NttParams,
+               backend: Optional[MultiplierBackend]) -> None:
         if arr.shape != (params.n,):
             raise ValueError(f"expected {params.n} coefficients, got {arr.shape}")
         self.params = params
@@ -74,6 +78,17 @@ class Polynomial:
         self._backend = backend
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_residues(
+        cls, coeffs: np.ndarray, params: NttParams,
+        backend: Optional[MultiplierBackend] = None,
+    ) -> "Polynomial":
+        """Wrap a vector the caller has already reduced to ``[0, q)``,
+        without reducing it again; the vector becomes read-only."""
+        poly = cls.__new__(cls)
+        poly._adopt(np.asarray(coeffs, dtype=np.uint64), params, backend)
+        return poly
 
     @classmethod
     def zero(cls, params: NttParams, backend: Optional[MultiplierBackend] = None) -> "Polynomial":
@@ -132,7 +147,8 @@ class Polynomial:
         return Polynomial(self.coeffs, self.params, backend)
 
     def _wrap(self, coeffs: np.ndarray) -> "Polynomial":
-        return Polynomial(coeffs % self.q, self.params, self._backend)
+        return Polynomial.from_residues(coeffs % self.q, self.params,
+                                        self._backend)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.params.n != other.params.n or self.params.q != other.params.q:

@@ -40,7 +40,6 @@ import numpy as np
 from .batch import (
     FLOAT_MAX_Q,
     StagePlan,
-    bitrev_gather_rows,
     canonical_float,
     check_kernel_modulus,
     ct_forward_float,
@@ -193,25 +192,26 @@ def negacyclic_multiply_np(
 #: ranges run in parallel - the software analogue of the paper's
 #: side-by-side superbanks (Section III-D.2).
 #:
-#: ``multiply_many`` medians on the merged-radix kernel, 2-vCPU x86-64
-#: host, whole block vs two slices alternated call by call, outputs
-#: bit-identical:
+#: ``multiply_many`` medians on the fault-free merged-radix kernel (float
+#: temporaries in per-thread workspaces), 2-vCPU x86-64 host, whole block
+#: vs two slices alternated call by call, outputs bit-identical:
 #:
 #: ===========  ========  ========  ======  =====================
 #: n x rows     elements  whole     sliced
 #: ===========  ========  ========  ======  =====================
-#: 256 x 64       16,384  0.25 ms   0.33    0.77x (GIL-bound)
-#: 2048 x 16      32,768  0.89      0.94    0.95x
-#: 1024 x 64      65,536  1.82      1.75    1.04x
-#: 4096 x 16      65,536  2.08      2.10    0.99x
-#: 256 x 512     131,072  3.50      2.43    1.44x
-#: 1024 x 128    131,072  3.55      2.70    1.31x
-#: 2048 x 64     131,072  5.50      4.28    1.28x
-#: 4096 x 64     262,144  13.8      10.8    1.27x
-#: 8192 x 64     524,288  29.1      24.3    1.19x
+#: 256 x 64       16,384  0.39 ms   0.56    0.69x (GIL-bound)
+#: 2048 x 16      32,768  1.11      1.51    0.74x
+#: 1024 x 64      65,536  1.79      1.98    0.90x
+#: 4096 x 16      65,536  2.54      2.96    0.86x
+#: 256 x 512     131,072  3.77      3.56    1.06x
+#: 1024 x 128    131,072  4.19      4.04    1.04x
+#: 2048 x 64     131,072  5.35      4.90    1.09x
+#: 4096 x 64     262,144  13.0      12.0    1.08x
+#: 8192 x 64     524,288  32.8      31.0    1.06x
 #: ===========  ========  ========  ======  =====================
 #:
-#: From 2^17 elements every degree gains; up to 2^16 none does.
+#: From 2^17 elements every degree gains; up to 2^16 none does.  A second
+#: run read 1.01-1.09x from 2^17 and 0.67-0.92x below it.
 #: There is deliberately no knob: no environment variable, constructor
 #: argument or per-call flag.
 SLICE_MIN_ELEMENTS = 1 << 17
@@ -247,6 +247,26 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):  # POSIX only
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+#: each thread's three flat float64 buffers, shared by every engine
+_WORKSPACES = threading.local()
+
+
+def _workspace(rows: int, n: int) -> Tuple[np.ndarray, ...]:
+    """This thread's three float blocks as column-major ``(rows, n)`` views.
+
+    The buffers grow to the largest ``rows * n`` the thread has run and are
+    reused from call to call, so a thread holds at most ``3 * 8`` bytes
+    times that many elements: 3 MiB per thread for the two 32 x 4096 row
+    ranges of a sliced 64 x 4096 product.  Bodies never re-enter the
+    engine, so no two calls on one thread use them at once.
+    """
+    size = rows * n
+    buffers = getattr(_WORKSPACES, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _WORKSPACES.buffers = tuple(np.empty(size) for _ in range(3))
+    return tuple(buf[:size].reshape(n, rows).T for buf in buffers)
 
 
 def row_slices(rows: int, n: int) -> int:
@@ -467,13 +487,12 @@ class NttEngine:
              order: str = "F") -> np.ndarray:
         """``body`` over the :func:`row_slices` row ranges of ``blocks``.
 
-        A whole block returns what ``body(*blocks, None)`` allocates:
-        allocating the result before the body's temporaries makes the
-        allocator hand the heap top back and fault it in again on every
-        call (112 page faults per 256 x 64 ``inverse_many``, about 20%
-        slower).  A sliced one fills one preallocated result through
-        ``body(*row_ranges, out_range)``: the calling thread runs the first
-        range itself and the pool the rest.  Bodies never re-enter the
+        A whole block returns the fresh array ``body(*blocks, None)``
+        makes; its float temporaries live in the calling thread's
+        :func:`_workspace`, not on the heap.  A sliced one fills one
+        preallocated result through ``body(*row_ranges, out_range)``: the
+        calling thread runs the first range itself and the pool the rest,
+        each thread in its own workspace.  Bodies never re-enter the
         public methods, so a range never re-slices (and never waits on its
         own pool).  ``order`` is the layout of a sliced result: the one
         ``body`` returns for a whole block.
@@ -506,12 +525,12 @@ class NttEngine:
             np.copyto(out, arr, casting="unsafe")
         return out
 
-    def _as_batch(self, arr: np.ndarray) -> np.ndarray:
-        """One reduction mod ``q`` into a fresh column-major float64 block
-        (the layout every kernel pass runs on)."""
+    def _as_batch(self, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One reduction mod ``q`` into the column-major float64 block
+        ``out`` (the layout every kernel pass runs on)."""
         # written as the C-contiguous (n, batch) transpose: numpy then walks
         # the output contiguously, which is the cheaper side of the transpose
-        return self._residues(arr.T, np.empty(arr.shape[::-1])).T
+        return self._residues(arr.T, out.T).T
 
     def _canonical(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Bounded signed float values -> canonical residues, in place;
@@ -521,32 +540,32 @@ class NttEngine:
 
     @staticmethod
     def _emit(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        """Canonical residues as ``uint64`` in ``x``'s layout (cast only if
-        float), or written into the caller's row range of a sliced
+        """Canonical float residues as a fresh ``uint64`` array in ``x``'s
+        layout, or written into the caller's row range of a sliced
         result."""
         if out is None:
-            return x.astype(np.uint64, copy=False)
+            return x.astype(np.uint64)
         np.copyto(out, x, casting="unsafe")
+        return out
+
+    def _bitrev(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Row-wise bit-reversal gather of the column-major block ``x`` into
+        the column-major block ``out``."""
+        np.take(x.T, self._plan.bitrev, axis=0, out=out.T, mode="clip")
         return out
 
     # -- float-resident bodies ----------------------------------------------
     #
-    # Each body allocates its float blocks once and hands the spare of one
-    # step to the next: a 4096 x 64 multiply that allocated a fresh block
-    # per step page-faulted about 2000 times a call, most of it returning
-    # to the allocator's trimmed heap top.
+    # Each body runs in its thread's three workspace blocks and hands the
+    # spare of one step to the next; only the returned uint64 array is new.
 
-    def _forward(self, values: np.ndarray, matrices,
-                 spare: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows mod ``q`` through the Cooley-Tukey passes of ``matrices``:
-        ``(work, free)``, ``work`` a column-major float64 block in
-        bit-reversed order, bounded but unreduced."""
-        work = self._as_batch(values)
-        if spare is None:
-            spare = np.empty_like(work)
-        return ct_forward_float(work, spare, matrices, self._schedule,
-                                self._plan)
+    def _forward(self, values: np.ndarray, matrices, work: np.ndarray,
+                 spare: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows mod ``q`` through the Cooley-Tukey passes of ``matrices``,
+        in the blocks ``work`` and ``spare``: ``(result, free)``,
+        ``result`` in bit-reversed order, bounded but unreduced."""
+        return ct_forward_float(self._as_batch(values, work), spare,
+                                matrices, self._schedule, self._plan)
 
     def _inverse(self, work: np.ndarray, spare: np.ndarray, matrices,
                  out: Optional[np.ndarray]) -> np.ndarray:
@@ -560,18 +579,21 @@ class NttEngine:
 
     def _forward_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
-        spectrum = self._canonical(*self._forward(values, self._cyclic))
-        return self._emit(bitrev_gather_rows(spectrum, self._plan), out)
+        w0, w1, w2 = _workspace(values.shape[0], self.n)
+        spectrum = self._canonical(*self._forward(values, self._cyclic,
+                                                  w0, w1))
+        return self._emit(self._bitrev(spectrum, w2), out)
 
     def _inverse_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
-        work = bitrev_gather_rows(self._as_batch(values), self._plan)
-        return self._inverse(work, np.empty_like(work), self._cyclic_inv,
-                             out)
+        w0, w1, w2 = _workspace(values.shape[0], self.n)
+        work = self._bitrev(self._as_batch(values, w2), w0)
+        return self._inverse(work, w1, self._cyclic_inv, out)
 
     def _to_ntt_rows(self, values: np.ndarray,
                      out: Optional[np.ndarray]) -> np.ndarray:
-        hat = self._canonical(*self._forward(values, self._zeta))
+        w0, w1, _ = _workspace(values.shape[0], self.n)
+        hat = self._canonical(*self._forward(values, self._zeta, w0, w1))
         if out is None:
             # row-contiguous, so broadcast products and sums over NTT-domain
             # rows run on contiguous runs; the cast does the transpose
@@ -580,14 +602,16 @@ class NttEngine:
 
     def _from_ntt_rows(self, values: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
-        work = self._as_batch(values)
-        return self._inverse(work, np.empty_like(work), self._zeta_inv, out)
+        w0, w1, _ = _workspace(values.shape[0], self.n)
+        return self._inverse(self._as_batch(values, w0), w1,
+                             self._zeta_inv, out)
 
     def _multiply_rows(self, a: np.ndarray, b: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
         q = float(self.q)
-        a2, free = self._forward(a, self._zeta)
-        b2, free = self._forward(b, self._zeta, free)
+        w0, w1, w2 = _workspace(a.shape[0], self.n)
+        a2, free = self._forward(a, self._zeta, w0, w1)
+        b2, free = self._forward(b, self._zeta, w2, free)
         for block, reduce in zip((a2, b2), self._schedule.reduce_operands):
             if reduce:
                 reduce_float(block, q, free)

@@ -1,5 +1,7 @@
 """Tests for the RLWE, NewHope, Kyber and BGV schemes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,37 @@ class TestKyberBatch:
         assert acc.multiplications - before == 5 * pke.multiplications_per_encrypt()
         pke.decrypt_many(sk, cts)
         assert acc.multiplications - before == 5 * (6 + 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ciphertext_rows_are_canonical(self, k, backend):
+        """``encrypt_many`` wraps its already-reduced ``u`` and ``v`` rows
+        as they are: ``uint64`` residues in ``[0, q)``, read-only."""
+        pke = KyberPke(k=k, backend=backend, rng=_rng(84 + k))
+        pk, _ = pke.keygen()
+        for ct in pke.encrypt_many(pk, _rng(85).integers(0, 2, (5, 256))):
+            assert len(ct.u) == k
+            for poly in ct.u + [ct.v]:
+                assert poly.coeffs.dtype == np.uint64
+                assert poly.coeffs.shape == (256,)
+                assert int(poly.coeffs.max()) < pke.params.q
+                assert not poly.coeffs.flags.writeable
+
+    def test_seeded_outputs_are_pinned(self, backend):
+        """sha256 over seeded ciphertexts and shared secrets.  Only a
+        deliberate change to sampling or to the scheme may move it."""
+        digest = hashlib.sha256()
+        for seed in (3, 11):
+            kem = KyberKem(rng=_rng(seed), backend=backend)
+            pk, sk = kem.keygen()
+            out = kem.encapsulate_many(pk, 13) + [kem.encapsulate(pk)]
+            for ct, secret in out:
+                for poly in ct.u + [ct.v]:
+                    digest.update(poly.coeffs.tobytes())
+                digest.update(secret)
+            assert kem.decapsulate_many(sk, [ct for ct, _ in out]) == \
+                [secret for _, secret in out]
+        assert digest.hexdigest() == ("4ad57e156704c4fad19f5e8aec60ba30"
+                                      "b784fac607b7171a0400c7414672c401")
 
     def test_empty_batches(self):
         pke = KyberPke(rng=_rng(82))

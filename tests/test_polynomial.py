@@ -39,6 +39,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.coeffs[0] = 1
 
+    def test_from_residues_wraps_without_reducing(self, params):
+        row = np.arange(64, dtype=np.uint64)
+        p = Polynomial.from_residues(row, params)
+        assert p.coeffs.dtype == np.uint64
+        assert np.shares_memory(p.coeffs, row)      # no copy, no second %
+        assert p == Polynomial(row, params)
+        with pytest.raises(ValueError):
+            p.coeffs[0] = 1
+
+    def test_from_residues_checks_the_shape(self, params):
+        with pytest.raises(ValueError):
+            Polynomial.from_residues(np.zeros(63, dtype=np.uint64), params)
+
 
 class TestRingAxioms:
     def test_additive_inverse(self, params, rng):
