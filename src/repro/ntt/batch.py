@@ -178,10 +178,16 @@ def stage_plan(n: int) -> StagePlan:
     return StagePlan(n=n, log_n=log_n, bitrev=rev, shapes=shapes)
 
 
-def bitrev_gather_rows(values: np.ndarray, plan: StagePlan) -> np.ndarray:
-    """Row-wise bit-reversal gather of a ``(batch, n)`` array into a fresh
-    column-major block."""
-    return values.T[plan.bitrev].T
+def bitrev_gather_rows(values: np.ndarray, plan: StagePlan,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise bit-reversal gather of a ``(batch, n)`` array into the
+    column-major block ``out`` (a fresh one if ``None``), returned."""
+    if out is None:
+        out = np.empty(values.shape, dtype=values.dtype, order="F")
+    # gathered along the (n, batch) transposes, so each index moves one
+    # contiguous run of ``batch`` values
+    np.take(values.T, plan.bitrev, axis=0, out=out.T, mode="clip")
+    return out
 
 
 def _columns(values: np.ndarray, plan: StagePlan | None

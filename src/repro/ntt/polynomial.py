@@ -80,14 +80,15 @@ class Polynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_residues(
+    def _from_residues(
         cls, coeffs: np.ndarray, params: NttParams,
         backend: Optional[MultiplierBackend] = None,
     ) -> "Polynomial":
-        """Wrap a vector the caller has already reduced to ``[0, q)``,
-        without reducing it again; the vector becomes read-only."""
+        """Adopt a fresh ``uint64`` vector this package made and reduced to
+        ``[0, q)``, without reducing or copying it.  The vector becomes the
+        instance's read-only storage, so nothing else may refer to it."""
         poly = cls.__new__(cls)
-        poly._adopt(np.asarray(coeffs, dtype=np.uint64), params, backend)
+        poly._adopt(coeffs, params, backend)
         return poly
 
     @classmethod
@@ -147,8 +148,8 @@ class Polynomial:
         return Polynomial(self.coeffs, self.params, backend)
 
     def _wrap(self, coeffs: np.ndarray) -> "Polynomial":
-        return Polynomial.from_residues(coeffs % self.q, self.params,
-                                        self._backend)
+        return Polynomial._from_residues(coeffs % self.q, self.params,
+                                         self._backend)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.params.n != other.params.n or self.params.q != other.params.q:

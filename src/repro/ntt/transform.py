@@ -40,6 +40,7 @@ import numpy as np
 from .batch import (
     FLOAT_MAX_Q,
     StagePlan,
+    bitrev_gather_rows,
     canonical_float,
     check_kernel_modulus,
     ct_forward_float,
@@ -548,12 +549,6 @@ class NttEngine:
         np.copyto(out, x, casting="unsafe")
         return out
 
-    def _bitrev(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Row-wise bit-reversal gather of the column-major block ``x`` into
-        the column-major block ``out``."""
-        np.take(x.T, self._plan.bitrev, axis=0, out=out.T, mode="clip")
-        return out
-
     # -- float-resident bodies ----------------------------------------------
     #
     # Each body runs in its thread's three workspace blocks and hands the
@@ -582,12 +577,12 @@ class NttEngine:
         w0, w1, w2 = _workspace(values.shape[0], self.n)
         spectrum = self._canonical(*self._forward(values, self._cyclic,
                                                   w0, w1))
-        return self._emit(self._bitrev(spectrum, w2), out)
+        return self._emit(bitrev_gather_rows(spectrum, self._plan, w2), out)
 
     def _inverse_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
         w0, w1, w2 = _workspace(values.shape[0], self.n)
-        work = self._bitrev(self._as_batch(values, w2), w0)
+        work = bitrev_gather_rows(self._as_batch(values, w2), self._plan, w0)
         return self._inverse(work, w1, self._cyclic_inv, out)
 
     def _to_ntt_rows(self, values: np.ndarray,

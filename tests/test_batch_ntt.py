@@ -77,6 +77,14 @@ class TestKernelPaths:
         block = bitrev_gather_rows(rows, plan)
         assert block.flags.f_contiguous
         assert np.array_equal(block, rows[:, plan.bitrev])
+        # the engine's form: a float column-major source gathered into a
+        # given column-major view of a larger flat buffer
+        source = np.asfortranarray(rows, dtype=np.float64)
+        buf = np.full(5 * 64, -1.0)
+        out = buf[:3 * 64].reshape(64, 3).T
+        assert bitrev_gather_rows(source, plan, out) is out
+        assert np.array_equal(out, rows[:, plan.bitrev])
+        assert np.all(buf[3 * 64:] == -1.0)
 
     def test_kernel_dtype_tiers(self):
         # one engine datapath: the float schedule serves every q below

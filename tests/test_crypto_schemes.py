@@ -256,16 +256,20 @@ class TestKyberBatch:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_ciphertext_rows_are_canonical(self, k, backend):
         """``encrypt_many`` wraps its already-reduced ``u`` and ``v`` rows
-        as they are: ``uint64`` residues in ``[0, q)``, read-only."""
+        as they are: ``uint64`` residues in ``[0, q)``, read-only, each in
+        storage of its own (no view into the batch's blocks)."""
         pke = KyberPke(k=k, backend=backend, rng=_rng(84 + k))
         pk, _ = pke.keygen()
-        for ct in pke.encrypt_many(pk, _rng(85).integers(0, 2, (5, 256))):
-            assert len(ct.u) == k
-            for poly in ct.u + [ct.v]:
-                assert poly.coeffs.dtype == np.uint64
-                assert poly.coeffs.shape == (256,)
-                assert int(poly.coeffs.max()) < pke.params.q
-                assert not poly.coeffs.flags.writeable
+        polys = [poly for ct in pke.encrypt_many(
+                     pk, _rng(85).integers(0, 2, (5, 256)))
+                 for poly in ct.u + [ct.v]]
+        assert len(polys) == 5 * (k + 1)
+        for poly in polys:
+            assert poly.coeffs.dtype == np.uint64
+            assert poly.coeffs.shape == (256,)
+            assert int(poly.coeffs.max()) < pke.params.q
+            assert not poly.coeffs.flags.writeable
+            assert poly.coeffs.base is None
 
     def test_seeded_outputs_are_pinned(self, backend):
         """sha256 over seeded ciphertexts and shared secrets.  Only a

@@ -39,18 +39,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.coeffs[0] = 1
 
-    def test_from_residues_wraps_without_reducing(self, params):
+    def test_from_residues_adopts_its_vector(self, params):
         row = np.arange(64, dtype=np.uint64)
-        p = Polynomial.from_residues(row, params)
-        assert p.coeffs.dtype == np.uint64
-        assert np.shares_memory(p.coeffs, row)      # no copy, no second %
-        assert p == Polynomial(row, params)
+        p = Polynomial._from_residues(row, params)
+        assert p.coeffs is row                      # no copy, no second %
+        assert p == Polynomial(np.arange(64), params)
         with pytest.raises(ValueError):
             p.coeffs[0] = 1
 
     def test_from_residues_checks_the_shape(self, params):
         with pytest.raises(ValueError):
-            Polynomial.from_residues(np.zeros(63, dtype=np.uint64), params)
+            Polynomial._from_residues(np.zeros(63, dtype=np.uint64), params)
+
+    def test_operators_own_their_results(self, params, rng):
+        a = Polynomial(rng.integers(0, params.q, 64), params)
+        b = Polynomial(rng.integers(0, params.q, 64), params)
+        for out in (a + b, a - b, -a, a * b, a.scale(5), a.shift_monomial(3)):
+            assert out.coeffs.dtype == np.uint64
+            assert int(out.coeffs.max()) < params.q
+            assert not out.coeffs.flags.writeable
+            assert not np.shares_memory(out.coeffs, a.coeffs)
+            assert not np.shares_memory(out.coeffs, b.coeffs)
 
 
 class TestRingAxioms:
