@@ -97,7 +97,7 @@ class DilithiumSigner:
         return poly.with_backend(self.backend) if self.backend else poly
 
     def _poly(self, coeffs: np.ndarray) -> Polynomial:
-        return self._attach(Polynomial(coeffs % self.ring.q, self.ring))
+        return self._attach(Polynomial(coeffs, self.ring))
 
     def _uniform(self) -> Polynomial:
         return self._poly(self.rng.integers(0, self.ring.q, self.ring.n))

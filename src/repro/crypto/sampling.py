@@ -103,7 +103,7 @@ def ternary_poly(params: NttParams, rng: np.random.Generator,
         coeffs = np.zeros(params.n, dtype=np.int64)
         positions = rng.choice(params.n, size=hamming_weight, replace=False)
         coeffs[positions] = rng.choice([-1, 1], size=hamming_weight)
-    return Polynomial(coeffs % params.q, params)
+    return Polynomial(coeffs, params)
 
 
 class DiscreteGaussianSampler:
@@ -138,4 +138,4 @@ def gaussian_poly(params: NttParams, rng: np.random.Generator,
     """Polynomial with discrete-Gaussian coefficients (default sigma per
     the original NewHope/RLWE literature)."""
     sampler = DiscreteGaussianSampler(sigma)
-    return Polynomial(sampler.sample(params.n, rng) % params.q, params)
+    return Polynomial(sampler.sample(params.n, rng), params)

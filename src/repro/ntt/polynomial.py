@@ -8,6 +8,7 @@ accelerator when the caller wants timed hardware simulation).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -48,8 +49,11 @@ def centered_block(residues: np.ndarray, q: int) -> np.ndarray:
 class Polynomial:
     """An element of ``Z_q[x]/(x^n + 1)``.
 
-    Coefficients are stored reduced to ``[0, q)`` as ``uint64``.  Instances
-    are treated as immutable: operators return new objects.
+    Coefficients are stored reduced to ``[0, q)`` as ``uint64`` by Python's
+    ``%``, so a negative coefficient ``c`` becomes ``c + q``, whether it
+    comes in a list or a signed integer array; non-integer input raises
+    :class:`TypeError`.  Instances are treated as immutable: operators
+    return new objects.
     """
 
     __slots__ = ("params", "coeffs", "_backend")
@@ -60,12 +64,18 @@ class Polynomial:
         params: NttParams,
         backend: Optional[MultiplierBackend] = None,
     ):
-        arr = np.asarray(
-            [c % params.q for c in coeffs] if not isinstance(coeffs, np.ndarray) else coeffs,
-            dtype=np.uint64,
-        )
-        if isinstance(coeffs, np.ndarray):
-            arr = arr % params.q
+        q = params.q
+        if not isinstance(coeffs, np.ndarray):
+            arr = np.array([operator.index(c) % q for c in coeffs],
+                           dtype=np.uint64)
+        elif coeffs.dtype.kind == "u":
+            arr = coeffs.astype(np.uint64, copy=False) % q
+        elif coeffs.dtype.kind == "i":
+            # signed input reduces as Python's ``%`` does, never through 2^64
+            arr = (coeffs.astype(np.int64, copy=False) % q).view(np.uint64)
+        else:
+            raise TypeError(
+                f"coefficients must be integers, got dtype {coeffs.dtype}")
         self._adopt(arr, params, backend)
 
     def _adopt(self, arr: np.ndarray, params: NttParams,

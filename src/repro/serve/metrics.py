@@ -77,28 +77,18 @@ class LatencyHistogram:
         self._rng = np.random.default_rng(0xC0FFEE)
 
     def record(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self._sum += value
-        # the first sample seeds the max (mirroring Gauge.high_water):
-        # an all-negative sample set (drift, deficit) must report its
-        # true maximum, not a spurious 0.0
-        self._max = value if self.count == 1 else max(self._max, value)
-        if len(self._samples) < _RESERVOIR:
-            self._samples.append(value)
-        else:  # reservoir sampling keeps a uniform subset
-            slot = int(self._rng.integers(0, self.count))
-            if slot < _RESERVOIR:
-                self._samples[slot] = value
+        self.record_many((value,))
 
     def record_many(self, values: Sequence[float]) -> None:
-        """``record`` each of ``values`` in order, in one call.
+        """Record each of ``values`` in order, in one call.
 
-        The state afterwards is the same as after the sequential calls:
+        The state afterwards is the same as after one call per value:
         count, sum (added left to right), max, samples and the reservoir
         generator's draws.  While the reservoir has room the samples go
         in as one array extend; only samples beyond it pay the
-        per-sample replacement rule.
+        per-sample replacement rule.  The first sample seeds the max
+        (mirroring ``Gauge.high_water``), so an all-negative sample set
+        (drift, deficit) reports its true maximum, not a spurious 0.0.
         """
         values = [float(v) for v in values]
         if not values:

@@ -118,7 +118,6 @@ class ServiceConfig:
         shed_watermark: queue fraction beyond which low-priority traffic
             is shed pre-emptively.
         shed_priority_floor: minimum priority value considered sheddable.
-        fidelity: accelerator fidelity for POLYMUL execution.
         seed: deterministic seed for service-held keys and KEM noise.
         num_chips: size of the simulated chip fleet; 1 (the default) is
             one shared chip.
@@ -139,7 +138,6 @@ class ServiceConfig:
     tenant_burst: Optional[float] = None
     shed_watermark: float = 0.75
     shed_priority_floor: int = 1
-    fidelity: str = "fast"
     seed: int = 0x5EED
     num_chips: int = 1
     routing: str = "affinity"
@@ -269,8 +267,7 @@ class CryptoPimService:
 
     def accelerator(self, n: int) -> CryptoPIM:
         if n not in self._accelerators:
-            self._accelerators[n] = CryptoPIM.for_degree(
-                n, fidelity=self.config.fidelity)
+            self._accelerators[n] = CryptoPIM.for_degree(n)
         return self._accelerators[n]
 
     def engine(self, n: int) -> NttEngine:
@@ -471,15 +468,9 @@ class CryptoPimService:
             except asyncio.CancelledError:
                 # shutdown mid-window: fail over whatever was already
                 # dequeued instead of dropping it silently
-                for _, _, pending in entries:
-                    if not pending.future.done():
-                        pending.future.set_result(Rejection(
-                            request_id=pending.request.request_id,
-                            kind=kind, n=n,
-                            reason=RejectReason.SHUTDOWN,
-                            detail="service stopped mid-window"))
-                    pending.trace.set(
-                        rejected=RejectReason.SHUTDOWN.value).finish()
+                self._fail_batch([entry[2] for entry in entries], kind, n,
+                                 reason=RejectReason.SHUTDOWN,
+                                 detail="service stopped mid-window")
                 raise
             self._depth_gauge(state)
             pendings = [entry[2] for entry in entries]
@@ -616,6 +607,8 @@ class CryptoPimService:
                     n: int, error: Optional[Exception] = None,
                     reason: RejectReason = RejectReason.INVALID,
                     detail: Optional[str] = None) -> None:
+        if not pendings:  # register no counter for an empty window
+            return
         detail = repr(error) if detail is None else detail
         self._count_rejected(reason, len(pendings))
         for pending in pendings:
@@ -697,19 +690,12 @@ class CryptoPimService:
                     await state.worker
                 except asyncio.CancelledError:
                     pass
-            while True:
-                try:
-                    _, _, pending = state.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not pending.future.done():
-                    pending.future.set_result(Rejection(
-                        request_id=pending.request.request_id,
-                        kind=pending.request.kind, n=pending.request.n,
-                        reason=RejectReason.SHUTDOWN,
-                        detail="service stopped"))
-                pending.trace.set(
-                    rejected=RejectReason.SHUTDOWN.value).finish()
+            leftovers: List[_Pending] = []
+            while not state.queue.empty():
+                leftovers.append(state.queue.get_nowait()[2])
+            self._fail_batch(leftovers, *state.key,
+                             reason=RejectReason.SHUTDOWN,
+                             detail="service stopped")
 
     async def __aenter__(self) -> "CryptoPimService":
         return self

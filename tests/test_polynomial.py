@@ -24,6 +24,38 @@ class TestConstruction:
         p = Polynomial([-1] + [0] * 63, params)
         assert int(p.coeffs[0]) == params.q - 1
 
+    def test_negative_array_entry_reduces_like_a_list_entry(self):
+        ring = params_for_degree(256)
+        p = Polynomial(np.array([-1] + [0] * 255), ring)
+        assert int(p.coeffs[0]) == ring.q - 1 == 7680
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64,
+                                       np.uint8, np.uint64])
+    def test_integer_array_reduces_like_its_list(self, dtype):
+        ring = params_for_degree(256)
+        info = np.iinfo(dtype)
+        coeffs = ([int(info.min), int(info.max), 0, 1]
+                  + [int(info.min) // 3, int(info.max) // 3] * 126)
+        p = Polynomial(np.array(coeffs, dtype=dtype), ring)
+        assert p == Polynomial(coeffs, ring)
+
+    @pytest.mark.parametrize("coeffs", [
+        np.array([2.7] + [0.0] * 63),
+        np.array([2.0] * 64),
+        [2.7] + [0] * 63,
+        [np.float64(2.0)] * 64,
+    ], ids=["float-array", "integral-float-array", "float-list",
+            "numpy-float-list"])
+    def test_non_integer_input_raises(self, params, coeffs):
+        with pytest.raises(TypeError):
+            Polynomial(coeffs, params)
+
+    def test_array_is_copied_not_adopted(self, params):
+        source = np.arange(64, dtype=np.uint64)
+        p = Polynomial(source, params)
+        assert not np.shares_memory(p.coeffs, source)
+        assert source.flags.writeable
+
     def test_wrong_length(self, params):
         with pytest.raises(ValueError):
             Polynomial([1, 2, 3], params)

@@ -212,6 +212,32 @@ class TestMetricSemantics:
             not r.ok for r in responses)
         assert "backlog_total" in new["gauges"]
 
+    def test_shutdown_rejections_are_counted(self):
+        # ten POLYMUL requests sit in an open window when stop() runs; six
+        # NTT requests are still queued behind a drain task that never got
+        # to run: both are failed over, and both count as rejections
+        async def scenario():
+            service = CryptoPimService(ServiceConfig(max_batch_wait_s=5))
+            rng = np.random.default_rng(5)
+            windowed = [asyncio.create_task(service.submit(ServeRequest(
+                RequestKind.POLYMUL, 256, _polymul(rng, 256))))
+                for _ in range(10)]
+            await asyncio.sleep(0.01)
+            queued = [asyncio.create_task(service.submit(ServeRequest(
+                RequestKind.NTT_FORWARD, 256,
+                np.zeros(256, dtype=np.uint64)))) for _ in range(6)]
+            await asyncio.sleep(0)  # enqueue, but do not start the drain
+            await service.stop()
+            responses = await asyncio.gather(*windowed, *queued)
+            return responses, service.metrics.snapshot()["counters"]
+
+        responses, counters = asyncio.run(scenario())
+        assert all(r.reason == RejectReason.SHUTDOWN for r in responses)
+        assert [r.detail for r in responses] == (
+            ["service stopped mid-window"] * 10 + ["service stopped"] * 6)
+        assert counters["requests_rejected"] == len(responses)
+        assert counters["rejected.shutdown"] == len(responses)
+
     def test_unknown_kind_is_refused_alone(self):
         async def scenario():
             async with CryptoPimService() as service:
