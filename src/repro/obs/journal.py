@@ -6,23 +6,24 @@ memory cost O(reservoir) while losing nothing statistical:
 * **aggregates** are updated for *every* finished trace - per-stage
   wall/cycle totals, counts, and maxima are exact over the full run;
 * **retained traces** are a uniform reservoir sample of size
-  ``capacity`` (Vitter's algorithm R);
+  ``capacity``, kept by the package's one skip-based reservoir rule
+  (:class:`~repro.obs.reservoir.Reservoir`, Li's Algorithm L);
 * **slowest traces** are kept separately in a bounded min-heap of size
   ``keep_slowest``, so tail-latency forensics survive sampling - the
   100 fast requests the reservoir keeps are no help when the question
   is about p99.9.
 
-Determinism: sampling uses a seeded :class:`random.Random`, so two runs
-with identical request streams retain identical traces.
+Determinism: the reservoir draws from its own seeded generator, so two
+runs with identical request streams retain identical traces.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from .reservoir import Reservoir
 from .span import Span
 
 __all__ = ["StageStats", "TraceJournal"]
@@ -67,13 +68,10 @@ class TraceJournal:
 
     def __init__(self, capacity: int = 1024, keep_slowest: int = 32,
                  seed: int = 0x0B5):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self._sampler = Reservoir(capacity, seed)
         self.capacity = capacity
         self.keep_slowest = keep_slowest
-        self._rng = random.Random(seed)
         self._reservoir: List[Span] = []
-        self._seen = 0        # traces offered to the reservoir
         self.completed = 0    # traces recorded (all of them)
         self.dropped = 0      # traces not retained in the reservoir
         self.stages: Dict[str, StageStats] = {}
@@ -115,16 +113,9 @@ class TraceJournal:
             heapq.heapreplace(self._slowest, entry)
 
     def _retain_sample(self, root: Span) -> None:
-        self._seen += 1
-        if len(self._reservoir) < self.capacity:
-            self._reservoir.append(root)
-            return
-        slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            self.dropped += 1  # the evicted occupant
-            self._reservoir[slot] = root
-        else:
-            self.dropped += 1
+        self._sampler.extend(self._reservoir, (root,))
+        if self._sampler.seen > self.capacity:
+            self.dropped += 1  # the evicted occupant, or this trace
 
     # -- views ----------------------------------------------------------------
 

@@ -7,7 +7,10 @@ JSON; the trace export (:mod:`repro.obs.export`) embeds it.
 
 No external metrics dependency: percentile math is a sorted-array lookup
 (numpy), which is exact - these are simulation-sized sample sets, not
-production cardinalities.
+production cardinalities.  Past ``_RESERVOIR`` samples a histogram keeps
+a uniform sample through the package's one skip-based reservoir rule
+(:class:`repro.obs.reservoir.Reservoir`, Algorithm L), so ``N`` samples
+cost O(k * (1 + ln(N / k))) random draws for a cap of ``k``, not ``N``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from array import array
 from typing import Dict, Optional, Sequence
 
 import numpy as np
+
+from ..obs.reservoir import Reservoir
 
 __all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
 
@@ -62,9 +67,12 @@ class LatencyHistogram:
     """Latency (or occupancy) sample set with exact percentiles.
 
     Samples are kept verbatim up to a reservoir cap, then down-sampled by
-    random replacement so long overload runs cannot grow memory without
-    bound while the quantile estimates stay unbiased.  A packed
-    ``array('d')`` holds them at 8 bytes a sample (a list takes 32).
+    the skip-based reservoir rule (:class:`~repro.obs.reservoir.Reservoir`)
+    so long overload runs cannot grow memory without bound while the
+    quantile estimates stay unbiased.  Past the cap a sample costs a
+    random draw only when the reservoir admits it, and a batch with no
+    admission costs none.  A packed ``array('d')`` holds the samples at
+    8 bytes each (a list takes 32).
     """
 
     def __init__(self, name: str, unit: str = "s"):
@@ -74,7 +82,12 @@ class LatencyHistogram:
         self._sum = 0.0
         self._max = 0.0
         self._samples = array("d")
-        self._rng = np.random.default_rng(0xC0FFEE)
+        self._sampler = Reservoir(_RESERVOIR, seed=0xC0FFEE)
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The reservoir's seeded generator."""
+        return self._sampler.rng
 
     def record(self, value: float) -> None:
         self.record_many((value,))
@@ -85,10 +98,11 @@ class LatencyHistogram:
         The state afterwards is the same as after one call per value:
         count, sum (added left to right), max, samples and the reservoir
         generator's draws.  While the reservoir has room the samples go
-        in as one array extend; only samples beyond it pay the
-        per-sample replacement rule.  The first sample seeds the max
-        (mirroring ``Gauge.high_water``), so an all-negative sample set
-        (drift, deficit) reports its true maximum, not a spurious 0.0.
+        in as one array extend; beyond it only the samples the reservoir
+        admits are written, each into a uniform slot.  The first sample
+        seeds the max (mirroring ``Gauge.high_water``), so an all-negative
+        sample set (drift, deficit) reports its true maximum, not a
+        spurious 0.0.
         """
         values = [float(v) for v in values]
         if not values:
@@ -101,12 +115,7 @@ class LatencyHistogram:
         self._sum = total
         top = max(values)
         self._max = top if seen == 0 else max(self._max, top)
-        room = _RESERVOIR - len(self._samples)
-        self._samples.extend(values[:room])
-        for offset, value in enumerate(values[room:], start=room + 1):
-            slot = int(self._rng.integers(0, seen + offset))
-            if slot < _RESERVOIR:
-                self._samples[slot] = value
+        self._sampler.extend(self._samples, values)
 
     @property
     def mean(self) -> float:

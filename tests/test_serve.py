@@ -439,6 +439,59 @@ class TestMetrics:
                 == one._rng.bit_generator.state)
         assert many.summary() == one.summary()
 
+    def test_reservoir_draws_scale_with_admissions(self):
+        """Past the cap a histogram draws per admitted sample, not per
+        sample: from N0 to N1 samples about k * ln(N1 / N0) of them are
+        admitted, three uniforms each, where a per-sample rule would draw
+        N1 - N0 values."""
+        from repro.obs.reservoir import _BLOCK
+        from repro.serve.metrics import _RESERVOIR
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def random(self, size=None):
+                self.drawn += 1 if size is None else int(np.prod(size))
+                return self.rng.random(size)
+
+            def integers(self, low, high=None, size=None):
+                self.drawn += 1 if size is None else int(np.prod(size))
+                return self.rng.integers(low, high, size)
+
+        hist = LatencyHistogram("flood")
+        lo, hi = 2 * _RESERVOIR, 20 * _RESERVOIR
+        hist.record_many(np.arange(lo, dtype=float))
+        counter = CountingGenerator(hist._rng)
+        hist._sampler.rng = counter
+        batch = np.arange(13, dtype=float).tolist()
+        for _ in range((hi - lo) // 13):
+            hist.record_many(batch)
+        assert hist.count >= hi - 13
+        bound = 3 * _RESERVOIR * np.log(hi / lo)
+        assert 0 < counter.drawn <= 1.01 * bound + _BLOCK
+
+    def test_skip_reservoir_is_uniform(self):
+        """Every retained sample is a distinct stream item, and each
+        eighth of the stream holds an eighth of the sample (+-5%, about
+        five standard deviations): an off-by-one skip or a reservoir that
+        stops replacing skews the buckets."""
+        from repro.serve.metrics import _RESERVOIR
+
+        hist = LatencyHistogram("flood", unit="x")
+        total = 4 * _RESERVOIR
+        stream = np.arange(total, dtype=float)
+        for lo in range(0, total, 997):
+            hist.record_many(stream[lo:lo + 997])
+        kept = np.asarray(hist._samples)
+        assert len(kept) == _RESERVOIR
+        assert len(np.unique(kept)) == _RESERVOIR
+        buckets = np.bincount((kept // (total // 8)).astype(int),
+                              minlength=8)
+        assert len(buckets) == 8
+        assert np.all(np.abs(buckets - _RESERVOIR / 8)
+                      <= 0.05 * _RESERVOIR / 8), buckets
+
     def test_record_many_seeds_max_from_first_batch(self):
         hist = LatencyHistogram("drift")
         hist.record_many([-5.0, -7.0])
