@@ -36,6 +36,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .batch import (
     FLOAT_MAX_Q,
@@ -63,6 +64,7 @@ __all__ = [
     "negacyclic_multiply_np",
     "NttEngine",
     "SLICE_MIN_ELEMENTS",
+    "STAGE_MIN_ROWS",
     "row_slices",
 ]
 
@@ -193,26 +195,30 @@ def negacyclic_multiply_np(
 #: ranges run in parallel - the software analogue of the paper's
 #: side-by-side superbanks (Section III-D.2).
 #:
-#: ``multiply_many`` medians on the fault-free merged-radix kernel (float
-#: temporaries in per-thread workspaces), 2-vCPU x86-64 host, whole block
-#: vs two slices alternated call by call, outputs bit-identical:
+#: ``multiply_many`` medians on the staged kernel (float temporaries in
+#: per-thread workspaces, aliasing entries staged), 2-vCPU x86-64 host,
+#: whole block vs two slices alternated call by call, 300 calls each,
+#: outputs bit-identical; times are the median of three runs, the last
+#: column each run's ratio:
 #:
-#: ===========  ========  ========  ======  =====================
+#: ===========  ========  ========  ======  ================
 #: n x rows     elements  whole     sliced
-#: ===========  ========  ========  ======  =====================
-#: 256 x 64       16,384  0.39 ms   0.56    0.69x (GIL-bound)
-#: 2048 x 16      32,768  1.11      1.51    0.74x
-#: 1024 x 64      65,536  1.79      1.98    0.90x
-#: 4096 x 16      65,536  2.54      2.96    0.86x
-#: 256 x 512     131,072  3.77      3.56    1.06x
-#: 1024 x 128    131,072  4.19      4.04    1.04x
-#: 2048 x 64     131,072  5.35      4.90    1.09x
-#: 4096 x 64     262,144  13.0      12.0    1.08x
-#: 8192 x 64     524,288  32.8      31.0    1.06x
-#: ===========  ========  ========  ======  =====================
+#: ===========  ========  ========  ======  ================
+#: 256 x 64       16,384  0.13 ms   0.26    0.49-0.59x (GIL)
+#: 2048 x 16      32,768  0.35      0.43    0.79-1.02x
+#: 1024 x 64      65,536  0.60      0.55    1.07-1.21x
+#: 4096 x 16      65,536  0.74      0.70    1.04-1.22x
+#: 256 x 512     131,072  1.11      0.78    1.35-1.48x
+#: 1024 x 128    131,072  1.24      0.90    1.37-1.51x
+#: 2048 x 64     131,072  1.79      1.17    1.28-1.53x
+#: 4096 x 64     262,144  3.29      2.19    1.37-1.55x
+#: 8192 x 64     524,288  7.66      6.49    1.18-1.47x
+#: ===========  ========  ========  ======  ================
 #:
-#: From 2^17 elements every degree gains; up to 2^16 none does.  A second
-#: run read 1.01-1.09x from 2^17 and 0.67-0.92x below it.
+#: From 2^17 every degree gains; at 2^15 slicing still loses.  2^16 now
+#: mostly gains (256 x 256 read 0.93x and 1.29x), but the unstaged kernel
+#: did too in the same session (1.13-1.34x, against 0.86-0.90x in the
+#: previous table): the host's state moved, not the crossover.
 #: There is deliberately no knob: no environment variable, constructor
 #: argument or per-call flag.
 SLICE_MIN_ELEMENTS = 1 << 17
@@ -250,6 +256,49 @@ if hasattr(os, "register_at_fork"):  # POSIX only
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+#: The one staging rule.  A row-major ``uint64`` block of at least this
+#: many rows whose row stride is a multiple of :data:`_ALIAS_BYTES` (every
+#: contiguous block from n = 512 up) puts all its rows in the same L1
+#: sets, so the transposed cast into the kernel's column-major layout
+#: misses on nearly every read.  Such a block enters in two steps: a
+#: row-by-row reduction (:meth:`NttEngine._residues`) into a row-major
+#: staging view whose rows are ``n + _SKEW`` float64 apart, one cache line
+#: of skew per row, then a transposed copy into the work block.  Every
+#: other block keeps the single transposed cast.  The rule reads only the
+#: block's shape and strides.
+#:
+#: ``multiply_many`` medians (one core, 2-vCPU x86-64 host, 400 calls
+#: each, direct and staged entry alternated call by call, outputs
+#: bit-identical), staged time as a speedup over direct:
+#:
+#: ======  =====  =====  =====  =====  =====
+#: rows    n=512  1024   2048   4096   8192
+#: ======  =====  =====  =====  =====  =====
+#: 12      0.88x  0.94x  0.99x  1.00x  1.00x
+#: 16      0.94   0.98   1.02   1.04   1.04
+#: 20      0.92   1.02   1.05   1.05   1.07
+#: 24      0.99   1.04   1.07   1.06   1.05
+#: 32      1.06   1.08   1.11   1.11   1.07
+#: ======  =====  =====  =====  =====  =====
+#:
+#: Repeats at n = 512 and 1024 read 0.94-0.98x at 16 rows and 1.02-1.07x
+#: at 24.  The entry cast alone gains more (64 x 4096: 508 -> 275 us;
+#: 64 x 8192: 8.4 -> 0.32 ms) but loses below 16 rows (1 x 4096: 0.41x).
+#: n = 256 rows are 2 KiB apart and bypass staging: forced through it,
+#: ``multiply_many`` read 0.87-0.91x at 16-26 rows and 1.05-1.08x at 64-192.
+#: C-order exits (``to_ntt_many``) stay one cast: a staged exit read
+#: 0.91-0.92x on ``to_ntt_many`` at 64 x 512 through 64 x 4096.
+#: There is deliberately no knob: no environment variable, constructor
+#: argument or flag.
+STAGE_MIN_ROWS = 24
+#: rows whose stride is a multiple of this many bytes alias in L1
+_ALIAS_BYTES = 4096
+#: a staging row's pitch beyond ``n``: 8 float64, one 64-byte cache line
+_SKEW = 8
+#: float64 between a thread's three workspace buffers: 9 cache lines, an
+#: odd number, so the three streams of a pass do not share L1 sets either
+_STAGGER = 72
+
 #: each thread's three flat float64 buffers, shared by every engine
 _WORKSPACES = threading.local()
 
@@ -257,17 +306,34 @@ _WORKSPACES = threading.local()
 def _workspace(rows: int, n: int) -> Tuple[np.ndarray, ...]:
     """This thread's three float blocks as column-major ``(rows, n)`` views.
 
-    The buffers grow to the largest ``rows * n`` the thread has run and are
-    reused from call to call, so a thread holds at most ``3 * 8`` bytes
-    times that many elements: 3 MiB per thread for the two 32 x 4096 row
-    ranges of a sliced 64 x 4096 product.  Bodies never re-enter the
-    engine, so no two calls on one thread use them at once.
+    The buffers grow to the largest ``rows * (n + _SKEW)`` the thread has
+    run - room for a :func:`_staging` view - and are reused from call to
+    call, so a thread holds at most ``3 * 8 B * rows * (n + 8)`` (and the
+    stagger): about 3 MiB per thread for the two 32 x 4096 row ranges of
+    a sliced 64 x 4096 product.  The three are carved from one array,
+    :data:`_STAGGER` elements apart.  Bodies never re-enter the engine,
+    so no two calls on one thread use them at once.
     """
-    size = rows * n
+    size = rows * (n + _SKEW)
     buffers = getattr(_WORKSPACES, "buffers", None)
     if buffers is None or buffers[0].size < size:
-        buffers = _WORKSPACES.buffers = tuple(np.empty(size) for _ in range(3))
-    return tuple(buf[:size].reshape(n, rows).T for buf in buffers)
+        flat = np.empty(3 * size + 2 * _STAGGER)
+        buffers = _WORKSPACES.buffers = tuple(
+            flat[i * (size + _STAGGER):][:size] for i in range(3))
+    return tuple(buf[:rows * n].reshape(n, rows).T for buf in buffers)
+
+
+def _staging(block: np.ndarray, via: np.ndarray) -> Optional[np.ndarray]:
+    """The staging view for the caller's row-major ``block``, or ``None``
+    where :data:`STAGE_MIN_ROWS`'s rule keeps the direct cast.  The view
+    is row-major ``(rows, n)`` with rows ``n + _SKEW`` apart, laid over the
+    buffer of ``via``, a free :func:`_workspace` block of ``block``'s shape
+    (its buffer holds ``rows * (n + _SKEW)`` elements)."""
+    rows, n = block.shape
+    if rows < STAGE_MIN_ROWS or block.strides[0] % _ALIAS_BYTES:
+        return None
+    return as_strided(via, (rows, n), (via.itemsize * (n + _SKEW),
+                                       via.itemsize))
 
 
 def row_slices(rows: int, n: int) -> int:
@@ -526,12 +592,19 @@ class NttEngine:
             np.copyto(out, arr, casting="unsafe")
         return out
 
-    def _as_batch(self, arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _as_batch(self, arr: np.ndarray, out: np.ndarray,
+                  via: np.ndarray) -> np.ndarray:
         """One reduction mod ``q`` into the column-major float64 block
-        ``out`` (the layout every kernel pass runs on)."""
-        # written as the C-contiguous (n, batch) transpose: numpy then walks
-        # the output contiguously, which is the cheaper side of the transpose
-        return self._residues(arr.T, out.T).T
+        ``out`` (the layout every kernel pass runs on), staged through the
+        free block ``via`` where :func:`_staging` says so."""
+        stage = _staging(arr, via)
+        if stage is None:
+            # written as the C-contiguous (n, batch) transpose: numpy then
+            # walks the output contiguously, the cheaper side of the
+            # transpose
+            return self._residues(arr.T, out.T).T
+        np.copyto(out.T, self._residues(arr, stage).T)
+        return out
 
     def _canonical(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Bounded signed float values -> canonical residues, in place;
@@ -542,8 +615,9 @@ class NttEngine:
     @staticmethod
     def _emit(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """Canonical float residues as a fresh ``uint64`` array in ``x``'s
-        layout, or written into the caller's row range of a sliced
-        result."""
+        layout, or written into ``out``: a sliced result's row range, or
+        a whole C-order result.  The exit is one cast even where ``out``'s
+        rows alias (see :data:`STAGE_MIN_ROWS`)."""
         if out is None:
             return x.astype(np.uint64)
         np.copyto(out, x, casting="unsafe")
@@ -554,13 +628,14 @@ class NttEngine:
     # Each body runs in its thread's three workspace blocks and hands the
     # spare of one step to the next; only the returned uint64 array is new.
 
-    def _forward(self, values: np.ndarray, matrices, work: np.ndarray,
-                 spare: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows mod ``q`` through the Cooley-Tukey passes of ``matrices``,
-        in the blocks ``work`` and ``spare``: ``(result, free)``,
-        ``result`` in bit-reversed order, bounded but unreduced."""
-        return ct_forward_float(self._as_batch(values, work), spare,
-                                matrices, self._schedule, self._plan)
+    def _forward(self, work: np.ndarray, spare: np.ndarray,
+                 matrices) -> Tuple[np.ndarray, np.ndarray]:
+        """A float64 block of residues through the Cooley-Tukey passes of
+        ``matrices``, in the blocks ``work`` and ``spare``:
+        ``(result, free)``, ``result`` in bit-reversed order, bounded but
+        unreduced."""
+        return ct_forward_float(work, spare, matrices, self._schedule,
+                                self._plan)
 
     def _inverse(self, work: np.ndarray, spare: np.ndarray, matrices,
                  out: Optional[np.ndarray]) -> np.ndarray:
@@ -575,38 +650,42 @@ class NttEngine:
     def _forward_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
         w0, w1, w2 = _workspace(values.shape[0], self.n)
-        spectrum = self._canonical(*self._forward(values, self._cyclic,
-                                                  w0, w1))
+        spectrum = self._canonical(*self._forward(
+            self._as_batch(values, w0, w1), w1, self._cyclic))
         return self._emit(bitrev_gather_rows(spectrum, self._plan, w2), out)
 
     def _inverse_rows(self, values: np.ndarray,
                       out: Optional[np.ndarray]) -> np.ndarray:
         w0, w1, w2 = _workspace(values.shape[0], self.n)
-        work = bitrev_gather_rows(self._as_batch(values, w2), self._plan, w0)
+        work = bitrev_gather_rows(self._as_batch(values, w2, w0), self._plan,
+                                  w0)
         return self._inverse(work, w1, self._cyclic_inv, out)
 
     def _to_ntt_rows(self, values: np.ndarray,
                      out: Optional[np.ndarray]) -> np.ndarray:
         w0, w1, _ = _workspace(values.shape[0], self.n)
-        hat = self._canonical(*self._forward(values, self._zeta, w0, w1))
+        hat = self._canonical(*self._forward(
+            self._as_batch(values, w0, w1), w1, self._zeta))
         if out is None:
             # row-contiguous, so broadcast products and sums over NTT-domain
             # rows run on contiguous runs; the cast does the transpose
-            return np.ascontiguousarray(hat, dtype=np.uint64)
+            out = np.empty(hat.shape, dtype=np.uint64)
         return self._emit(hat, out)
 
     def _from_ntt_rows(self, values: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
         w0, w1, _ = _workspace(values.shape[0], self.n)
-        return self._inverse(self._as_batch(values, w0), w1,
+        return self._inverse(self._as_batch(values, w0, w1), w1,
                              self._zeta_inv, out)
 
     def _multiply_rows(self, a: np.ndarray, b: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:
         q = float(self.q)
         w0, w1, w2 = _workspace(a.shape[0], self.n)
-        a2, free = self._forward(a, self._zeta, w0, w1)
-        b2, free = self._forward(b, self._zeta, w2, free)
+        # b first, staged through w0, which a then fills through w1
+        b2 = self._as_batch(b, w2, w0)
+        a2, free = self._forward(self._as_batch(a, w0, w1), w1, self._zeta)
+        b2, free = self._forward(b2, free, self._zeta)
         for block, reduce in zip((a2, b2), self._schedule.reduce_operands):
             if reduce:
                 reduce_float(block, q, free)

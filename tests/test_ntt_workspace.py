@@ -109,7 +109,7 @@ class TestReuse:
         first, later = in_thread(run)
         assert len(first) == 3
         assert all(x is y for x, y in zip(first, later))
-        assert all(buf.size == 16 * 256 for buf in first)
+        assert all(buf.size == 16 * (256 + 8) for buf in first)
 
     def test_buffers_grow_to_the_largest_block(self):
         def run():
@@ -120,8 +120,8 @@ class TestReuse:
             return small, buffers()
 
         small, grown = in_thread(run)
-        assert all(buf.size == 2 * 512 for buf in small)
-        assert all(buf.size == 8 * 512 for buf in grown)
+        assert all(buf.size == 2 * (512 + 8) for buf in small)
+        assert all(buf.size == 8 * (512 + 8) for buf in grown)
 
     def test_views_keep_the_column_major_layout(self):
         blocks = in_thread(transform._workspace, 5, 256)
