@@ -11,8 +11,6 @@ from .scheduler import ChipScheduler, MultiplicationJob, ScheduleReport
 from .tracing import CycleAttribution, attribute_cycles, dominance_ratio
 from .verify import SelfCheckingBackend, VerificationError, verify_product
 from .dse import DesignPoint, enumerate_designs, pareto_front
-from .power import peak_power_w, power_trace_non_pipelined, steady_state_power_w
-from .timeline import occupancy_grid, render_timeline
 from .config import CryptoPimConfig, PipelineVariant
 from .pipeline import PipelineModel
 from .stages import (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..ntt.params import NttParams, params_for_degree
@@ -38,14 +38,11 @@ class CryptoPimConfig:
         variant: pipeline organisation (Figure 4); the non-pipelined
             comparisons of Figures 5/6 run the AREA_EFFICIENT arrangement.
         device: ReRAM device model (1.1 ns cycle).
-        block_rows / block_cols: memory block geometry (paper: 512 x 512).
     """
 
     params: NttParams
     variant: PipelineVariant = PipelineVariant.CRYPTOPIM
     device: DeviceModel = PAPER_DEVICE
-    block_rows: int = 512
-    block_cols: int = 512
 
     @classmethod
     def for_degree(cls, n: int, variant: PipelineVariant = PipelineVariant.CRYPTOPIM,

@@ -85,12 +85,6 @@ class BatchTiming:
         return self.start_cycle - self.reconfiguration_cycles
 
     @property
-    def charged_cycles(self) -> int:
-        """Every cycle this batch advanced the clock (busy + reconfig);
-        the exact amount a shard-execute trace span must account for."""
-        return self.end_cycle - self.clock_start
-
-    @property
     def per_superbank(self) -> int:
         """Items on the most-loaded superbank (its pipeline slots)."""
         return ceil(self.count / self.superbanks)

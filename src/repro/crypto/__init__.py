@@ -1,16 +1,7 @@
 """Lattice-cryptography workloads built on the accelerated multiplier."""
 
-from .fo_transform import FoKem, FoSecretKey
 from .frodo import FrodoLitePke, key_size_comparison
 from .dilithium import DilithiumParams, DilithiumSigner, Signature
-from .encoding import (
-    bits_to_bytes,
-    bytes_to_bits,
-    decode_bytes,
-    encode_bytes,
-    majority_decode,
-    spread_bits,
-)
 from .bfv import BfvCiphertext, BfvScheme, BfvSecretKey
 from .bgv import BgvCiphertext, BgvScheme, BgvSecretKey, RelinearizationKey
 from .bgv_rns import RnsBgvCiphertext, RnsBgvScheme, RnsRelinKey

@@ -236,9 +236,8 @@ class KyberKem:
 
     The shared secret is ``H(m)`` for a uniformly random message ``m`` -
     the hashing shell of a KEM without the Fujisaki-Okamoto re-encryption
-    check (the CCA wrapper lives in :mod:`repro.crypto.fo_transform`;
-    this class is the *workload*, sized exactly like Kyber's encaps and
-    decaps inner operations, for the request-serving layer).
+    check (this class is the *workload*, sized exactly like Kyber's
+    encaps and decaps inner operations, for the request-serving layer).
     """
 
     def __init__(self, k: int = 2, eta: int = 3,

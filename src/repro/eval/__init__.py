@@ -14,7 +14,6 @@ from .experiments import (
     table2,
     variation_study,
 )
-from .export import export_all, table_rows
 from .regression import GOLDEN_CHECKS, run_regressions
 from .summary import reproduction_summary
 from .report import (

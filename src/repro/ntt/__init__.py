@@ -59,6 +59,6 @@ from .transform import (
     ntt_gs,
     ntt_gs_np,
 )
-from .variants import intt_dit, negacyclic_multiply_no_bitrev, ntt_dif
+from .variants import intt_dit, ntt_dif
 
 __all__ = [name for name in dir() if not name.startswith("_")]

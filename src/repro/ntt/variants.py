@@ -11,29 +11,23 @@ decimation-in-frequency forward with a decimation-in-time inverse so that
 * :func:`intt_dit` - CT/DIT butterflies, **bit-reversed input**,
   natural-order output, distances 1, 2, ..., n/2.
 
-:func:`negacyclic_multiply_no_bitrev` composes them (pointwise products
-happen in bit-reversed order, which is harmless).  Tests assert exact
-agreement with the paper-faithful kernel of :mod:`repro.ntt.transform`,
-which is the point: two independent dataflow derivations of the same
-transform cross-validate each other.  The production float64 datapath of
-:mod:`repro.ntt.batch` keeps the same orders (natural in, bit-reversed
-between the transforms, natural out) with Cooley-Tukey forward and
-Gentleman-Sande inverse butterflies and the phi twist folded into its
-twiddles; the tests check it against these functions.
+Tests assert exact agreement with the paper-faithful kernel of
+:mod:`repro.ntt.transform`, which is the point: two independent dataflow
+derivations of the same transform cross-validate each other.  The
+production float64 datapath of :mod:`repro.ntt.batch` keeps the same
+orders (natural in, bit-reversed between the transforms, natural out)
+with Cooley-Tukey forward and Gentleman-Sande inverse butterflies and
+the phi twist folded into its twiddles; the tests check it against
+these functions.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from .bitrev import bitrev_permute
 from .params import NttParams
 
-__all__ = [
-    "ntt_dif",
-    "intt_dit",
-    "negacyclic_multiply_no_bitrev",
-]
+__all__ = ["ntt_dif", "intt_dit"]
 
 
 def ntt_dif(values: Sequence[int], params: NttParams) -> List[int]:
@@ -81,23 +75,3 @@ def intt_dit(values: Sequence[int], params: NttParams) -> List[int]:
     n_inv = params.n_inv
     return [(v * n_inv) % q for v in a]
 
-
-def negacyclic_multiply_no_bitrev(
-    a: Sequence[int], b: Sequence[int], params: NttParams
-) -> List[int]:
-    """Algorithm 1 without any explicit bit-reversal.
-
-    Forward DIF leaves both transforms in bit-reversed order; the pointwise
-    product is order-agnostic; inverse DIT consumes bit-reversed input
-    directly.
-    """
-    q = params.q
-    phi = params.phi_powers()
-    a_t = [(x * p) % q for x, p in zip(a, phi)]
-    b_t = [(x * p) % q for x, p in zip(b, phi)]
-    a_hat = ntt_dif(a_t, params)
-    b_hat = ntt_dif(b_t, params)
-    c_hat = [(x * y) % q for x, y in zip(a_hat, b_hat)]
-    c_t = intt_dit(c_hat, params)
-    phi_inv = params.phi_inv_powers()
-    return [(x * p) % q for x, p in zip(c_t, phi_inv)]

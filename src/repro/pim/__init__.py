@@ -26,7 +26,6 @@ from .magic import (
     magic_full_adder,
     sub_cycles_magic,
 )
-from .layout import ColumnBudget, fits_block, plan_butterfly_layout
 from .logic import (
     GATE_CYCLES,
     CycleCounter,
@@ -37,7 +36,6 @@ from .logic import (
     sub_cycles,
     transfer_cycles,
 )
-from .optimizer import eliminate_dead_code, fold_load_chains, optimise, sink_shifts
 from .reduction_programs import (
     PAPER_MODULI,
     TABLE1_PAPER,

@@ -1,15 +1,10 @@
-"""Tests for BFV, the FO transform and the column-layout planner."""
-
-import dataclasses
+"""Tests for the BFV scheme."""
 
 import numpy as np
 import pytest
 
 from repro.crypto.bfv import BfvScheme
-from repro.crypto.fo_transform import FoKem
 from repro.ntt.naive import schoolbook_negacyclic
-from repro.ntt.polynomial import Polynomial
-from repro.pim.layout import BLOCK_COLUMNS, fits_block, plan_butterfly_layout
 
 
 class TestBfv:
@@ -79,74 +74,3 @@ class TestBfv:
         with pytest.raises(ValueError):
             scheme.relinearize(scheme.encrypt(sk, np.zeros(2048, dtype=np.int64)),
                                scheme.relin_keygen(sk))
-
-
-class TestFoKem:
-    @pytest.fixture(scope="class")
-    def kem(self):
-        return FoKem(256, rng=np.random.default_rng(10))
-
-    @pytest.fixture(scope="class")
-    def keys(self, kem):
-        return kem.keygen()
-
-    def test_agreement(self, kem, keys):
-        pk, sk = keys
-        ct, key_enc = kem.encapsulate(pk)
-        assert kem.decapsulate(sk, ct) == key_enc
-
-    def test_keys_differ_per_encapsulation(self, kem, keys):
-        pk, _ = keys
-        _, k1 = kem.encapsulate(pk)
-        _, k2 = kem.encapsulate(pk)
-        assert k1 != k2
-
-    def test_implicit_rejection(self, kem, keys):
-        """Tampering yields a DIFFERENT key, not an error (no decryption
-        oracle)."""
-        pk, sk = keys
-        ct, key_enc = kem.encapsulate(pk)
-        tampered = dataclasses.replace(
-            ct, v=ct.v + Polynomial.constant(1, kem.params))
-        rejected = kem.decapsulate(sk, tampered)
-        assert rejected != key_enc
-        assert len(rejected) == 32
-
-    def test_rejection_deterministic(self, kem, keys):
-        pk, sk = keys
-        ct, _ = kem.encapsulate(pk)
-        tampered = dataclasses.replace(
-            ct, u=ct.u + Polynomial.constant(3, kem.params))
-        assert kem.decapsulate(sk, tampered) == kem.decapsulate(sk, tampered)
-
-    def test_u_and_v_tampering_both_detected(self, kem, keys):
-        pk, sk = keys
-        ct, key_enc = kem.encapsulate(pk)
-        for attr in ("u", "v"):
-            bad = dataclasses.replace(
-                ct, **{attr: getattr(ct, attr)
-                       + Polynomial.constant(1, kem.params)})
-            assert kem.decapsulate(sk, bad) != key_enc
-
-
-class TestColumnLayout:
-    @pytest.mark.parametrize("q,width", [
-        (7681, 16), (12289, 16), (786433, 32), (8380417, 24),
-    ])
-    def test_paper_block_suffices(self, q, width):
-        """The 512-column block fits a full butterfly stage at every
-        modulus this repository uses - the paper's implicit claim."""
-        assert fits_block(q, width)
-
-    def test_budget_composition(self):
-        budget = plan_butterfly_layout(786433, 32)
-        names = [name for name, _ in budget.fields]
-        assert "product accumulator" in names
-        assert budget.total + budget.free == BLOCK_COLUMNS
-
-    def test_wider_datapath_needs_more_columns(self):
-        assert (plan_butterfly_layout(786433, 32).total
-                > plan_butterfly_layout(7681, 16).total)
-
-    def test_breakdown_renders(self):
-        assert "TOTAL" in plan_butterfly_layout(7681, 16).breakdown()

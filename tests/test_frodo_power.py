@@ -1,14 +1,8 @@
-"""Tests for the Frodo-style LWE scheme and the power-profile model."""
+"""Tests for the Frodo-style LWE scheme."""
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineModel
-from repro.core.power import (
-    peak_power_w,
-    power_trace_non_pipelined,
-    steady_state_power_w,
-)
 from repro.crypto.frodo import FrodoLitePke, key_size_comparison
 
 
@@ -49,41 +43,3 @@ class TestFrodo:
         for n in (256, 1024):
             cmp = key_size_comparison(n)
             assert n / 2 <= cmp["ratio"] <= 2 * n
-
-
-class TestPowerModel:
-    def test_steady_state_consistent_with_energy(self):
-        """power x stage time == Table II energy (per result)."""
-        model = PipelineModel.for_degree(1024)
-        power = steady_state_power_w(model)
-        stage_us = model.device.cycles_to_us(model.stage_cycles)
-        assert power * stage_us == pytest.approx(
-            model.report(True).energy_uj)
-
-    def test_trace_energy_adds_up(self):
-        """Integrating the non-pipelined trace recovers the total energy
-        (with multiplicity, i.e. both polynomials' banks)."""
-        model = PipelineModel.for_degree(256)
-        trace = power_trace_non_pipelined(model)
-        integrated = sum(s.power_w * s.duration_us for s in trace)
-        expected = PipelineModel.for_degree(256).energy().total_uj
-        assert integrated == pytest.approx(expected, rel=1e-6)
-
-    def test_trace_is_contiguous(self):
-        model = PipelineModel.for_degree(64)
-        trace = power_trace_non_pipelined(model)
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur.start_us == pytest.approx(prev.start_us + prev.duration_us)
-
-    def test_peak_at_least_average(self):
-        model = PipelineModel.for_degree(2048)
-        trace = power_trace_non_pipelined(model)
-        average = (sum(s.power_w * s.duration_us for s in trace)
-                   / sum(s.duration_us for s in trace))
-        assert peak_power_w(model) >= average
-
-    def test_power_grows_with_degree(self):
-        """More parallel rows per stage -> more instantaneous power."""
-        small = steady_state_power_w(PipelineModel.for_degree(256))
-        large = steady_state_power_w(PipelineModel.for_degree(32768))
-        assert large > 10 * small

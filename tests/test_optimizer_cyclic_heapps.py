@@ -1,4 +1,4 @@
-"""Tests for the IR optimizer, cyclic/big-int NTT and HE app kernels."""
+"""Tests for cyclic/big-int NTT and HE app kernels."""
 
 import numpy as np
 import pytest
@@ -13,77 +13,6 @@ from repro.crypto.he_apps import (
     pack_reversed,
 )
 from repro.ntt.cyclic import bigint_multiply, cyclic_convolve, linear_convolve
-from repro.pim.optimizer import (
-    eliminate_dead_code,
-    fold_load_chains,
-    optimise,
-    sink_shifts,
-)
-from repro.pim.reduction_programs import PAPER_MODULI, ReductionKit
-from repro.pim.shiftadd import INPUT, ShiftAddProgram
-
-
-def _slack_program() -> ShiftAddProgram:
-    prog = ShiftAddProgram(q=17, input_bound=1000, name="slack")
-    prog.load("t1", INPUT, shift=2)
-    prog.load("t2", "t1", shift=3)
-    prog.load("dead", INPUT, shift=9)
-    prog.add("t3", INPUT, "t2")
-    prog.load("t4", INPUT, shift=1)
-    prog.add("out", "t3", "t4")
-    return prog
-
-
-class TestOptimizerPasses:
-    def test_dead_code_removed(self):
-        prog = _slack_program()
-        cleaned = eliminate_dead_code(prog)
-        assert all(op.dst != "dead" for op in cleaned.ops)
-        assert cleaned.run(123) == prog.run(123)
-
-    def test_load_chain_folded(self):
-        prog = _slack_program()
-        folded = fold_load_chains(eliminate_dead_code(prog))
-        loads = [op for op in folded.ops if op.kind == "load"]
-        assert any(op.shift == 5 for op in loads)  # 2 + 3 combined
-        assert folded.run(77) == prog.run(77)
-
-    def test_shift_sunk_into_add(self):
-        prog = _slack_program()
-        optimised = optimise(prog)
-        # t4's load(shift=1) disappears into the final add's operand shift
-        assert all(op.dst != "t4" for op in optimised.ops)
-        adds = [op for op in optimised.ops if op.kind == "add"]
-        assert any(op.shift == 1 for op in adds)
-
-    def test_full_pipeline_shrinks(self):
-        prog = _slack_program()
-        optimised = optimise(prog)
-        assert len(optimised.ops) < len(prog.ops)
-        assert optimised.cost().cycles <= prog.cost().cycles
-
-    @pytest.mark.parametrize("q", PAPER_MODULI)
-    def test_generated_programs_unharmed(self, q):
-        """Algorithm 3 programs are already tight: the optimiser must
-        neither regress nor alter them semantically."""
-        kit = ReductionKit.for_modulus(q)
-        for program in (kit.barrett, kit.montgomery):
-            optimised = optimise(program)
-            assert optimised.cost().cycles <= program.cost().cycles
-            for a in (0, q - 1, program.input_bound):
-                assert optimised.run(a) == program.run(a)
-
-    def test_semantic_guard(self):
-        """A pass bug cannot ship: the equivalence check raises."""
-        prog = _slack_program()
-        broken = optimise(prog)  # baseline works
-        assert broken is not None
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=50)
-    def test_optimised_equivalence_property(self, a):
-        prog = _slack_program()
-        assert optimise(prog).run(a) == prog.run(a)
 
 
 class TestCyclicConvolution:

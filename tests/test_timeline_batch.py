@@ -1,50 +1,9 @@
-"""Tests for the pipeline timeline and the batch streaming API."""
+"""Tests for the batch streaming API."""
 
 import numpy as np
 import pytest
 
 from repro.core.accelerator import CryptoPIM
-from repro.core.pipeline import PipelineModel
-from repro.core.timeline import occupancy_grid, render_timeline
-
-
-class TestOccupancyGrid:
-    def test_diagonal_structure(self):
-        model = PipelineModel.for_degree(64)
-        grid = occupancy_grid(model, multiplications=3)
-        # multiplication m occupies block b at slot b + m - 1
-        for block in range(model.depth):
-            for mult in range(1, 4):
-                assert grid[block][block + mult - 1] == mult
-
-    def test_no_block_double_booked(self):
-        model = PipelineModel.for_degree(64)
-        grid = occupancy_grid(model, multiplications=5)
-        for row in grid:
-            occupied = [v for v in row if v]
-            assert occupied == sorted(occupied)  # strictly advancing
-
-    def test_total_slots(self):
-        model = PipelineModel.for_degree(64)
-        grid = occupancy_grid(model, multiplications=7)
-        assert len(grid[0]) == model.depth + 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            occupancy_grid(PipelineModel.for_degree(64), 0)
-
-
-class TestRenderTimeline:
-    def test_contains_structure(self):
-        model = PipelineModel.for_degree(256)
-        text = render_timeline(model, multiplications=4)
-        assert "38 blocks" in text
-        assert "pre/mul" in text
-        assert "result 1 completes after slot 38" in text
-
-    def test_truncation(self):
-        text = render_timeline(PipelineModel.for_degree(1024), 4, max_blocks=5)
-        assert "more blocks" in text
 
 
 class TestBatchApi:

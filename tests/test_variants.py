@@ -5,11 +5,10 @@ import pytest
 
 from repro.ntt.batch import ct_forward_float, gs_inverse_float
 from repro.ntt.bitrev import bitrev_permute
-from repro.ntt.naive import schoolbook_negacyclic
 from repro.ntt.params import params_for_degree
 from repro.ntt.rns import RnsBasis
 from repro.ntt.transform import NttEngine, ntt_gs
-from repro.ntt.variants import intt_dit, negacyclic_multiply_no_bitrev, ntt_dif
+from repro.ntt.variants import intt_dit, ntt_dif
 
 
 class TestDifForward:
@@ -45,24 +44,6 @@ class TestDitInverse:
         p = params_for_degree(16)
         with pytest.raises(ValueError):
             intt_dit([1] * 32, p)
-
-
-class TestNoBitrevMultiply:
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_against_schoolbook(self, n, rng):
-        p = params_for_degree(n)
-        a = rng.integers(0, p.q, n).tolist()
-        b = rng.integers(0, p.q, n).tolist()
-        assert (negacyclic_multiply_no_bitrev(a, b, p)
-                == schoolbook_negacyclic(a, b, p.q))
-
-    def test_agrees_with_paper_dataflow(self, rng):
-        from repro.ntt.transform import negacyclic_multiply
-        p = params_for_degree(128)
-        a = rng.integers(0, p.q, 128).tolist()
-        b = rng.integers(0, p.q, 128).tolist()
-        assert (negacyclic_multiply_no_bitrev(a, b, p)
-                == negacyclic_multiply(a, b, p))
 
 
 def float_engine(n):
