@@ -63,7 +63,7 @@ def chip_configurability() -> None:
         cfg = chip.configure(n)
         per_pipe = PipelineModel.for_degree(min(n, 32768)).throughput_per_s(True)
         print(f"{n:6d} {cfg.bank_plan.banks_per_multiplication:10d} "
-              f"{cfg.parallel_multiplications:14d} "
+              f"{cfg.superbanks:14d} "
               f"{cfg.segments_per_polynomial:8d} "
               f"{chip.aggregate_throughput(n, per_pipe):12,.0f}")
     print()

@@ -15,12 +15,10 @@ Three rule families (see ``docs/LINTS.md`` for the full catalogue):
   outside charge methods, reconfiguration cost folded into busy/idle,
   token buckets drained before backpressure gates.
 
-Run via ``python -m repro analyze [paths]``; accepted legacy findings
-live in the committed ``analyze-baseline.json`` so CI gates only on new
-ones.
+Run via ``python -m repro analyze [paths]``; every finding gates, and
+``# repro: allow(RULE-ID)`` at the site is the one way to accept one.
 """
 
-from .baseline import Baseline, BaselineDiff
 from .config import DEFAULT_CONFIG, AnalyzeConfig
 from .context import DType, ModuleContext
 from .engine import AnalysisReport, Analyzer, collect_python_files
@@ -31,8 +29,6 @@ __all__ = [
     "AnalysisReport",
     "AnalyzeConfig",
     "Analyzer",
-    "Baseline",
-    "BaselineDiff",
     "DEFAULT_CONFIG",
     "DType",
     "Finding",

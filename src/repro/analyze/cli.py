@@ -1,8 +1,9 @@
 """The ``repro analyze`` subcommand.
 
-Exit codes: 0 = clean against the baseline, 1 = gating findings (new
-findings, parse errors, or - under ``--strict`` - stale baseline
-entries), 2 = usage errors (unknown rule ids, bad paths, bad baseline).
+Exit codes: 0 = clean, 1 = gating findings (every unsuppressed finding
+gates, as does a parse error), 2 = usage errors (unknown rule ids, bad
+paths).  ``# repro: allow(RULE)`` on or above a line is the one way to
+accept a finding.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline
 from .engine import Analyzer
 from .registry import all_rules
 
 __all__ = ["add_analyze_parser", "run_analyze"]
-
-DEFAULT_BASELINE = "analyze-baseline.json"
 
 
 def add_analyze_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -35,23 +33,10 @@ def add_analyze_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to scan (default: src/repro)")
-    p.add_argument("--baseline", default=DEFAULT_BASELINE,
-                   help=f"baseline file of accepted findings "
-                        f"(default: {DEFAULT_BASELINE})")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline file; report everything")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline to the current findings "
-                        "and exit 0")
-    p.add_argument("--strict", action="store_true",
-                   help="also fail on stale baseline entries (fixed code "
-                        "whose baseline entry should be removed)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default: text)")
     p.add_argument("--rules", default=None,
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--show-known", action="store_true",
-                   help="also print baselined findings")
     p.add_argument("--list-rules", action="store_true",
                    help="list registered rules and exit")
     p.set_defaults(func=run_analyze)
@@ -73,34 +58,14 @@ def run_analyze(args: argparse.Namespace) -> int:
         print(f"analyze: {error}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(f"analyze: wrote {len(report.findings)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"analyze: bad baseline: {error}", file=sys.stderr)
-            return 2
-    diff = baseline.apply(report.findings)
     elapsed = time.perf_counter() - started
-
-    stale_gates = bool(diff.stale) and args.strict
-    failed = bool(diff.new) or bool(report.parse_errors) or stale_gates
+    failed = bool(report.findings) or bool(report.parse_errors)
 
     if args.format == "json":
         payload = {
             "files_scanned": report.files_scanned,
             "elapsed_seconds": round(elapsed, 3),
-            "new": [f.to_json() for f in diff.new],
-            "known": [f.to_json() for f in diff.known],
-            "stale": diff.stale,
+            "findings": [f.to_json() for f in report.findings],
             "parse_errors": report.parse_errors,
             "suppressed": report.suppressed,
             "ok": not failed,
@@ -110,26 +75,13 @@ def run_analyze(args: argparse.Namespace) -> int:
 
     for error in report.parse_errors:
         print(f"parse error: {error}")
-    for finding in diff.new:
+    for finding in report.findings:
         print(finding.render())
         if finding.snippet:
             print(f"    {finding.snippet}")
-    if args.show_known:
-        for finding in diff.known:
-            print(f"[baselined] {finding.render()}")
-    if diff.stale:
-        verb = "fails --strict" if args.strict else "consider"
-        print(f"analyze: {len(diff.stale)} stale baseline entr"
-              f"{'y' if len(diff.stale) == 1 else 'ies'} ({verb}: rerun "
-              f"with --update-baseline to drop fixed findings)")
-        for fp in diff.stale:
-            entry = baseline.entries.get(fp, {})
-            print(f"    {fp}  {entry.get('rule', '?')} "
-                  f"{entry.get('path', '?')}: {entry.get('snippet', '')}")
     print(f"analyze: {report.files_scanned} file(s), "
-          f"{len(diff.new)} new, {len(diff.known)} baselined, "
-          f"{report.suppressed} suppressed, {len(diff.stale)} stale "
-          f"[{elapsed:.2f}s]")
+          f"{len(report.findings)} finding(s), "
+          f"{report.suppressed} suppressed [{elapsed:.2f}s]")
     return 1 if failed else 0
 
 

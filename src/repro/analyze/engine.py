@@ -4,8 +4,8 @@ Inline suppression uses ``# repro: allow(RULE-ID[, RULE-ID...])`` on the
 flagged line or the line directly above it; ``allow(*)`` silences every
 rule for that line.  Suppressions are for *intentional* violations whose
 safety argument fits in the surrounding code (e.g. a uint32 product proven
-in range by a guard two lines up); accepted legacy debt belongs in the
-baseline file instead, where ``--strict`` can watch it shrink.
+in range by a guard two lines up).  They are the one way to accept a
+finding: every other finding gates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, AnalyzeConfig
 from .context import ModuleContext
-from .findings import Finding, Severity, finalize_occurrences
+from .findings import Finding, Severity
 from .registry import Rule, rules_by_id
 
 __all__ = ["AnalysisReport", "Analyzer", "collect_python_files"]
@@ -76,7 +76,6 @@ class Analyzer:
         report = AnalysisReport()
         for path in collect_python_files([Path(p) for p in paths]):
             self._run_file(path, report)
-        report.findings = finalize_occurrences(report.findings)
         report.findings.sort(
             key=lambda f: (f.path, f.line, f.col, f.rule))
         return report

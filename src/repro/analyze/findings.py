@@ -1,18 +1,14 @@
 """Finding and rule metadata types for the ``repro.analyze`` framework.
 
-A :class:`Finding` is one (rule, file, line) diagnostic.  Its
-``fingerprint`` intentionally ignores the line *number* and hashes the
-line *text* instead (plus an occurrence index for identical lines), so a
-baseline entry survives unrelated edits that shift code up or down - the
-same property commercial baseline-driven linters rely on.
+A :class:`Finding` is one (rule, file, line) diagnostic.  Every finding
+gates; ``# repro: allow(RULE)`` at the site is the one way to accept one.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["Severity", "Finding", "RuleMeta"]
 
@@ -55,15 +51,7 @@ class Finding:
     line: int            # 1-based
     col: int             # 0-based
     message: str
-    snippet: str = ""    # stripped source line, for fingerprinting/reports
-    occurrence: int = 0  # index among findings with identical (rule, path, snippet)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: line-number independent."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.snippet, str(self.occurrence)))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    snippet: str = ""    # stripped source line, for reports
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col + 1}: "
@@ -78,26 +66,5 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
-
-def finalize_occurrences(findings: list) -> list:
-    """Assign occurrence indices among identical (rule, path, snippet) keys.
-
-    Rules emit findings with ``occurrence=0``; the engine calls this once
-    per run so two hits on textually identical lines keep distinct
-    fingerprints (and a baseline of one does not hide the other).
-    """
-    seen: Dict[tuple, int] = {}
-    out = []
-    for f in findings:
-        key = (f.rule, f.path, f.snippet)
-        idx = seen.get(key, 0)
-        seen[key] = idx + 1
-        if idx != f.occurrence:
-            f = Finding(rule=f.rule, severity=f.severity, path=f.path,
-                        line=f.line, col=f.col, message=f.message,
-                        snippet=f.snippet, occurrence=idx)
-        out.append(f)
-    return out

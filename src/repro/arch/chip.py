@@ -34,8 +34,7 @@ class ChipConfiguration:
 
     n: int
     bank_plan: BankPlan
-    superbanks: int
-    parallel_multiplications: int
+    superbanks: int  # parallel multiplications, one pipeline each
     segments_per_polynomial: int
     banks_used: int
     banks_idle: int
@@ -79,7 +78,7 @@ class CryptoPimChip:
         architecture's extra headroom for small degrees.
         """
         cfg = self.configure(n)
-        return per_pipeline_throughput * cfg.parallel_multiplications / cfg.segments_per_polynomial
+        return per_pipeline_throughput * cfg.superbanks / cfg.segments_per_polynomial
 
     def replicate(self, count: int) -> "list[CryptoPimChip]":
         """``count`` independent chips with this chip's bank budget and
@@ -118,7 +117,6 @@ def _configure(total_banks: int, variant: PipelineVariant,
         n=n,
         bank_plan=plan,
         superbanks=superbanks,
-        parallel_multiplications=superbanks,
         segments_per_polynomial=segments,
         banks_used=used,
         banks_idle=total_banks - used,

@@ -46,7 +46,7 @@ def chip_completion_cycles(config: ChipConfiguration, count: int) -> List[int]:
     product streamed as its 32k segments on the native-degree pipeline."""
     model = PipelineModel.for_degree(min(config.n, MAX_NATIVE_DEGREE))
     return pipelined_completion_cycles(
-        model, count, config.parallel_multiplications,
+        model, count, config.superbanks,
         config.segments_per_polynomial)
 
 
@@ -139,7 +139,7 @@ class ChipTimeline:
         return BatchTiming(
             n=n,
             count=count,
-            superbanks=config.parallel_multiplications,
+            superbanks=config.superbanks,
             start_cycle=start,
             reconfiguration_cycles=reconfig,
             completion_cycles=completions,

@@ -2,9 +2,10 @@
 
 from .frodo import FrodoLitePke, key_size_comparison
 from .dilithium import DilithiumParams, DilithiumSigner, Signature
+from .algebra import RelinearizationKey
 from .bfv import BfvCiphertext, BfvScheme, BfvSecretKey
-from .bgv import BgvCiphertext, BgvScheme, BgvSecretKey, RelinearizationKey
-from .bgv_rns import RnsBgvCiphertext, RnsBgvScheme, RnsRelinKey
+from .bgv import BgvCiphertext, BgvScheme, BgvSecretKey
+from .bgv_rns import RnsBgvCiphertext, RnsBgvScheme
 from .he_apps import (
     encrypted_dot_product,
     encrypted_poly_eval,
@@ -13,7 +14,7 @@ from .he_apps import (
     pack_reversed,
 )
 from .kyber import KyberCiphertext, KyberPke, KyberPublicKey, KyberSecretKey
-from .newhope import KEY_BITS, NewHopeCiphertext, NewHopeKem, NewHopePublicKey
+from .newhope import KEY_BITS, NewHopeKem
 from .rlwe import RlweCiphertext, RlwePublicKey, RlweScheme, RlweSecretKey
 from .serialization import (
     deserialize_ciphertext,

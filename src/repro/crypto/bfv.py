@@ -15,8 +15,12 @@ Textbook (symmetric) BFV over ``R_q = Z_q[x]/(x^n + 1)``:
 * multiply: tensor the ciphertexts over the *integers* (no wraparound),
   scale each component by ``t/q`` with exact rational rounding, reduce mod
   q - the wide exact intermediate is computed by CRT over an auxiliary
-  NTT-prime tower (see ``_exact_negacyclic``);
+  NTT-prime tower (see ``_exact_products``);
 * relinearize: base-T key switching, as in BGV.
+
+Phase, add, tensor and key switching are :mod:`repro.crypto.algebra`,
+shared with BGV and RNS-BGV; this module keeps the ``Delta`` encoding, the
+exact product and the ``t/q`` rescaling.
 
 With the paper's single 20-bit modulus and ``t = 2`` one multiplicative
 level fits, matching the BGV module; the RNS tower generalises BGV's
@@ -31,9 +35,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..ntt.params import NttParams, params_for_degree
+from ..ntt.params import params_for_degree
 from ..ntt.polynomial import MultiplierBackend, Polynomial
-from .sampling import cbd_poly, uniform_poly
+from ..ntt.rns import RnsBasis, RnsPolynomial
+from . import algebra
+from .algebra import RelinearizationKey
+from .rlwe import RingScheme
 
 __all__ = ["BfvScheme", "BfvCiphertext", "BfvSecretKey"]
 
@@ -41,13 +48,6 @@ __all__ = ["BfvScheme", "BfvCiphertext", "BfvSecretKey"]
 @dataclass(frozen=True)
 class BfvSecretKey:
     s: Polynomial
-
-
-@dataclass(frozen=True)
-class BfvRelinKey:
-    base: int
-    b: List[Polynomial]
-    a: List[Polynomial]
 
 
 @dataclass
@@ -59,7 +59,7 @@ class BfvCiphertext:
         return len(self.parts) - 1
 
 
-class BfvScheme:
+class BfvScheme(RingScheme):
     """Symmetric BFV over one paper ring.
 
     Args:
@@ -74,42 +74,26 @@ class BfvScheme:
                  relin_base: int = 16,
                  backend: Optional[MultiplierBackend] = None,
                  rng: Optional[np.random.Generator] = None):
-        self.params: NttParams = params_for_degree(n)
-        if not 2 <= t < self.params.q:
+        params = params_for_degree(n)
+        if not 2 <= t < params.q:
             raise ValueError("need 2 <= t < q")
+        super().__init__(params, backend=backend, eta=eta, rng=rng)
         self.t = t
-        self.eta = eta
         self.relin_base = relin_base
-        self.backend = backend
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.delta = self.params.q // t
-        self.relin_digits = int(ceil(log(self.params.q) / log(relin_base)))
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _attach(self, poly: Polynomial) -> Polynomial:
-        return poly.with_backend(self.backend) if self.backend else poly
-
-    def _noise(self) -> Polynomial:
-        return self._attach(cbd_poly(self.params, self.rng, self.eta))
+        self.delta = params.q // t
+        self.relin_digits = int(ceil(log(params.q) / log(relin_base)))
+        self._relin_factors = tuple(pow(relin_base, i, params.q)
+                                    for i in range(self.relin_digits))
 
     # -- keys ----------------------------------------------------------------------
 
     def keygen(self) -> BfvSecretKey:
         return BfvSecretKey(s=self._noise())
 
-    def relin_keygen(self, sk: BfvSecretKey) -> BfvRelinKey:
-        s2 = sk.s * sk.s
-        b_parts, a_parts = [], []
-        power = 1
-        for _ in range(self.relin_digits):
-            a_i = self._attach(uniform_poly(self.params, self.rng))
-            e_i = self._noise()
-            b_i = a_i * sk.s + e_i + s2.scale(power)
-            b_parts.append(b_i)
-            a_parts.append(a_i)
-            power = (power * self.relin_base) % self.params.q
-        return BfvRelinKey(base=self.relin_base, b=b_parts, a=a_parts)
+    def relin_keygen(self, sk: BfvSecretKey) -> RelinearizationKey:
+        """Component ``i`` encrypts ``T^i * s^2`` with unscaled noise."""
+        return algebra.relin_keygen(sk.s, self._relin_factors, self._uniform,
+                                    self._noise, noise_scale=1)
 
     # -- encrypt / decrypt ------------------------------------------------------------
 
@@ -117,22 +101,14 @@ class BfvScheme:
         msg = np.asarray(message) % self.t
         if msg.shape != (self.params.n,):
             raise ValueError(f"plaintext must have {self.params.n} coefficients")
-        a = self._attach(uniform_poly(self.params, self.rng))
+        a = self._uniform()
         e = self._noise()
         scaled = self._attach(Polynomial(
             (msg.astype(np.int64) * self.delta), self.params))
         return BfvCiphertext(parts=[a * sk.s + e + scaled, -a])
 
-    def _phase_centered(self, sk: BfvSecretKey, ct: BfvCiphertext) -> np.ndarray:
-        phase = ct.parts[0]
-        s_power = sk.s
-        for part in ct.parts[1:]:
-            phase = phase + part * s_power
-            s_power = s_power * sk.s
-        return phase.centered_coeffs()
-
     def decrypt(self, sk: BfvSecretKey, ct: BfvCiphertext) -> np.ndarray:
-        phase = self._phase_centered(sk, ct).astype(object)
+        phase = algebra.phase(ct.parts, sk.s).centered_coeffs().astype(object)
         q, t = self.params.q, self.t
         # m = round(t * phase / q) mod t, with exact rational rounding
         rounded = [(2 * t * int(p) + q) // (2 * q) for p in phase]
@@ -143,7 +119,7 @@ class BfvScheme:
         """SEAL's metric: log2(q / (2t * |noise|)) with noise = distance of
         the phase from the nearest Delta multiple of a message."""
         q, t = self.params.q, self.t
-        phase = self._phase_centered(sk, ct)
+        phase = algebra.phase(ct.parts, sk.s).centered_coeffs()
         worst = 0
         for p in phase:
             # distance to nearest multiple of q/t (rational, scaled by t)
@@ -156,11 +132,7 @@ class BfvScheme:
     # -- homomorphic operations ---------------------------------------------------------
 
     def add(self, x: BfvCiphertext, y: BfvCiphertext) -> BfvCiphertext:
-        longest, shortest = (x, y) if len(x.parts) >= len(y.parts) else (y, x)
-        parts = list(longest.parts)
-        for i, part in enumerate(shortest.parts):
-            parts[i] = parts[i] + part
-        return BfvCiphertext(parts=parts)
+        return BfvCiphertext(parts=algebra.add(x.parts, y.parts))
 
     def multiply(self, x: BfvCiphertext, y: BfvCiphertext) -> BfvCiphertext:
         """Tensor over the integers, rescale by t/q, round, reduce mod q.
@@ -175,43 +147,23 @@ class BfvScheme:
         """Rescaled tensor products of many ciphertext pairs at once.
 
         Every pair's exact cross products share one
-        :meth:`_exact_negacyclic_many` invocation (one batched kernel
-        call per auxiliary CRT prime), the batch-window shape the serving
-        layer dispatches.  Bit-identical to per-pair :meth:`multiply`.
+        :meth:`_exact_products` invocation (one batched kernel call per
+        auxiliary CRT prime), the batch-window shape the serving layer
+        dispatches.  Bit-identical to per-pair :meth:`multiply`.
         """
-        q, t, n = self.params.q, self.t, self.params.n
-        pairs = list(pairs)
-        flat = []
-        index_sets = []
-        for x, y in pairs:
-            x_c = [p.centered_coeffs() for p in x.parts]
-            y_c = [p.centered_coeffs() for p in y.parts]
-            index_pairs = [(i, j)
-                           for i in range(len(x_c)) for j in range(len(y_c))]
-            index_sets.append((len(x_c), len(y_c), index_pairs))
-            flat.extend((x_c[i], y_c[j]) for i, j in index_pairs)
-        products = iter(self._exact_negacyclic_many(flat))
-        out = []
-        for x_len, y_len, index_pairs in index_sets:
-            out_len = x_len + y_len - 1
-            tensored = [[0] * n for _ in range(out_len)]
-            for i, j in index_pairs:
-                row = tensored[i + j]
-                prod = next(products)
-                for k in range(n):
-                    row[k] += prod[k]
-            parts = []
-            for row in tensored:
-                rounded = [((2 * t * v + q) // (2 * q)) % q for v in row]
-                parts.append(self._attach(Polynomial(
-                    np.asarray(rounded, dtype=np.int64), self.params)))
-            out.append(BfvCiphertext(parts=parts))
-        return out
+        q, t = self.params.q, self.t
+        tensored = algebra.tensor([(x.parts, y.parts) for x, y in pairs],
+                                  self._exact_products)
+        # each part is an exact integer vector: round t*v/q, reduce mod q
+        return [BfvCiphertext(parts=[
+                    self._attach(Polynomial(
+                        (((2 * t * row + q) // (2 * q)) % q).astype(np.int64),
+                        self.params))
+                    for row in parts])
+                for parts in tensored]
 
-    def _aux(self):
+    def _aux(self) -> RnsBasis:
         """The auxiliary CRT tower wide enough for |coeffs| < n*(q/2)^2."""
-        from ..ntt.rns import RnsBasis
-
         if not hasattr(self, "_aux_basis"):
             bound = 2 * self.params.n * (self.params.q // 2) ** 2
             levels = 1
@@ -223,12 +175,9 @@ class BfvScheme:
             self._aux_basis = basis
         return self._aux_basis
 
-    def _exact_negacyclic(self, a: np.ndarray, b: np.ndarray) -> List[int]:
-        """Exact integer negacyclic product of two centered vectors."""
-        return self._exact_negacyclic_many([(a, b)])[0]
-
-    def _exact_negacyclic_many(self, pairs) -> List[List[int]]:
-        """Exact integer negacyclic products of centered vector pairs.
+    def _exact_products(self, pairs) -> List[np.ndarray]:
+        """Exact integer negacyclic products of the centered lifts of
+        polynomial pairs, as object arrays of Python ints.
 
         Computed with NTTs over an auxiliary CRT tower wide enough to
         avoid any wraparound (|result| < n * (q/2)^2), then reconstructed
@@ -236,25 +185,24 @@ class BfvScheme:
         true integers.  All pairs share one batched kernel call per
         tower prime.
         """
-        from ..ntt.rns import RnsPolynomial
-
         basis = self._aux()
-        pa = [RnsPolynomial.from_integers(basis, [int(v) for v in a])
-              for a, _ in pairs]
-        pb = [RnsPolynomial.from_integers(basis, [int(v) for v in b])
-              for _, b in pairs]
-        return [p.to_centered()
-                for p in RnsPolynomial.multiply_pairs(list(zip(pa, pb)))]
 
-    def relinearize(self, ct: BfvCiphertext, rlk: BfvRelinKey) -> BfvCiphertext:
+        def lift(poly: Polynomial) -> RnsPolynomial:
+            return RnsPolynomial.from_integers(
+                basis, poly.centered_coeffs().tolist())
+
+        products = RnsPolynomial.multiply_pairs(
+            [(lift(x), lift(y)) for x, y in pairs])
+        return [np.array(p.to_centered(), dtype=object) for p in products]
+
+    def relinearize(self, ct: BfvCiphertext,
+                    rlk: RelinearizationKey) -> BfvCiphertext:
         if ct.degree != 2:
             raise ValueError("relinearization expects a degree-2 ciphertext")
         c0, c1, c2 = ct.parts
         coeffs = c2.coeffs.astype(np.int64)
-        new0, new1 = c0, c1
-        for i in range(self.relin_digits):
-            digit = (coeffs // (self.relin_base ** i)) % self.relin_base
-            digit_poly = self._attach(Polynomial(digit, self.params))
-            new0 = new0 + digit_poly * rlk.b[i]
-            new1 = new1 - digit_poly * rlk.a[i]
-        return BfvCiphertext(parts=[new0, new1])
+        digits = [self._attach(Polynomial(
+                      (coeffs // (self.relin_base ** i)) % self.relin_base,
+                      self.params))
+                  for i in range(self.relin_digits)]
+        return BfvCiphertext(parts=list(algebra.key_switch(c0, c1, digits, rlk)))

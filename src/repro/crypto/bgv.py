@@ -17,37 +17,31 @@ those rings:
 
 This is one modulus level (no modulus switching), which is the regime the
 paper's single-q evaluation lives in; the point is exercising large-degree
-multiplications, not a production HE library.
+multiplications, not a production HE library.  The ciphertext algebra
+(phase, add, tensor, key switching) is :mod:`repro.crypto.algebra`; this
+module keeps the encoding, the base-T digits and the noise accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log
 from typing import List, Optional
 
 import numpy as np
 
-from ..ntt.params import NttParams, params_for_degree
+from ..ntt.params import params_for_degree
 from ..ntt.polynomial import MultiplierBackend, Polynomial
-from .sampling import cbd_poly, uniform_poly
+from . import algebra
+from .algebra import RelinearizationKey
+from .rlwe import RingScheme
 
-__all__ = ["BgvScheme", "BgvCiphertext", "BgvSecretKey", "RelinearizationKey"]
+__all__ = ["BgvScheme", "BgvCiphertext", "BgvSecretKey"]
 
 
 @dataclass(frozen=True)
 class BgvSecretKey:
     s: Polynomial
-
-
-@dataclass(frozen=True)
-class RelinearizationKey:
-    """Key-switching key for ``s^2`` in base ``T``: component ``i`` encrypts
-    ``T^i * s^2``."""
-
-    base: int
-    b: List[Polynomial]  # b_i = a_i * s + t * e_i + T^i * s^2
-    a: List[Polynomial]
 
 
 @dataclass
@@ -63,7 +57,7 @@ class BgvCiphertext:
         return len(self.parts) - 1
 
 
-class BgvScheme:
+class BgvScheme(RingScheme):
     """Symmetric BGV over ``Z_q[x]/(x^n+1)`` with plaintext modulus ``t``.
 
     Args:
@@ -82,28 +76,22 @@ class BgvScheme:
                  relin_base: int = 16,
                  backend: Optional[MultiplierBackend] = None,
                  rng: Optional[np.random.Generator] = None):
-        self.params: NttParams = params_for_degree(n)
-        if t < 2 or t >= self.params.q:
+        params = params_for_degree(n)
+        if t < 2 or t >= params.q:
             raise ValueError("plaintext modulus must satisfy 2 <= t < q")
-        if self.params.q % t == 0:
+        if params.q % t == 0:
             raise ValueError("t must be coprime to q")
         if relin_base < 2:
             raise ValueError("relinearization base must be >= 2")
+        super().__init__(params, backend=backend, eta=eta, rng=rng)
         self.t = t
-        self.eta = eta
         self.relin_base = relin_base
-        self.backend = backend
-        self.rng = rng if rng is not None else np.random.default_rng()
         #: digits needed to decompose a coefficient of Z_q in base T
-        self.relin_digits = int(ceil(log(self.params.q) / log(relin_base)))
+        self.relin_digits = int(ceil(log(params.q) / log(relin_base)))
+        self._relin_factors = tuple(pow(relin_base, i, params.q)
+                                    for i in range(self.relin_digits))
 
     # -- helpers ---------------------------------------------------------------
-
-    def _attach(self, poly: Polynomial) -> Polynomial:
-        return poly.with_backend(self.backend) if self.backend else poly
-
-    def _noise(self) -> Polynomial:
-        return self._attach(cbd_poly(self.params, self.rng, self.eta))
 
     def _fresh_noise_bound(self) -> float:
         # |t*e + m|_inf <= t*eta + t/2, padded by the embedding factor
@@ -119,18 +107,9 @@ class BgvScheme:
         return BgvSecretKey(s=self._noise())
 
     def relin_keygen(self, sk: BgvSecretKey) -> RelinearizationKey:
-        s_squared = sk.s * sk.s
-        b_parts: List[Polynomial] = []
-        a_parts: List[Polynomial] = []
-        power = 1
-        for _ in range(self.relin_digits):
-            a_i = self._attach(uniform_poly(self.params, self.rng))
-            e_i = self._noise()
-            b_i = a_i * sk.s + e_i.scale(self.t) + s_squared.scale(power)
-            b_parts.append(b_i)
-            a_parts.append(a_i)
-            power = (power * self.relin_base) % self.params.q
-        return RelinearizationKey(base=self.relin_base, b=b_parts, a=a_parts)
+        """Component ``i`` encrypts ``T^i * s^2`` with noise ``t * e_i``."""
+        return algebra.relin_keygen(sk.s, self._relin_factors, self._uniform,
+                                    self._noise, noise_scale=self.t)
 
     # -- encryption ---------------------------------------------------------------------
 
@@ -139,7 +118,7 @@ class BgvScheme:
         msg = np.asarray(message) % self.t
         if msg.shape != (self.params.n,):
             raise ValueError(f"plaintext must have {self.params.n} coefficients")
-        a = self._attach(uniform_poly(self.params, self.rng))
+        a = self._uniform()
         e = self._noise()
         m_poly = self._attach(Polynomial(msg.astype(np.int64), self.params))
         c0 = a * sk.s + e.scale(self.t) + m_poly
@@ -149,31 +128,16 @@ class BgvScheme:
 
     def decrypt(self, sk: BgvSecretKey, ct: BgvCiphertext) -> np.ndarray:
         """Decrypt: evaluate at ``s``, center mod q, reduce mod t."""
-        phase = ct.parts[0]
-        s_power = sk.s
-        for part in ct.parts[1:]:
-            phase = phase + part * s_power
-            s_power = s_power * sk.s
-        centered = phase.centered_coeffs()
-        return centered % self.t
+        return algebra.phase(ct.parts, sk.s).centered_coeffs() % self.t
 
     def decryption_noise(self, sk: BgvSecretKey, ct: BgvCiphertext) -> int:
         """Actual infinity-norm of the phase - must stay below q/2."""
-        phase = ct.parts[0]
-        s_power = sk.s
-        for part in ct.parts[1:]:
-            phase = phase + part * s_power
-            s_power = s_power * sk.s
-        return phase.infinity_norm()
+        return algebra.phase(ct.parts, sk.s).infinity_norm()
 
     # -- homomorphic operations ----------------------------------------------------------
 
     def add(self, x: BgvCiphertext, y: BgvCiphertext) -> BgvCiphertext:
-        longest, shortest = (x, y) if len(x.parts) >= len(y.parts) else (y, x)
-        parts = list(longest.parts)
-        for i, part in enumerate(shortest.parts):
-            parts[i] = parts[i] + part
-        return BgvCiphertext(parts=parts,
+        return BgvCiphertext(parts=algebra.add(x.parts, y.parts),
                              noise_bound=x.noise_bound + y.noise_bound)
 
     def multiply(self, x: BgvCiphertext, y: BgvCiphertext) -> BgvCiphertext:
@@ -186,56 +150,41 @@ class BgvScheme:
         """Tensor products of many ciphertext pairs, one kernel dispatch.
 
         The serving layer's batch window closes over several independent
-        eval requests; flattening every pair's cross products into a
-        single :meth:`Polynomial.multiply_pairs` call amortises kernel
-        dispatch across the whole window exactly like the raw-polymul
-        path.  Bit-identical to ``[self.multiply(x, y) for x, y in pairs]``.
+        eval requests; :func:`repro.crypto.algebra.tensor` flattens every
+        pair's cross products into a single
+        :meth:`Polynomial.multiply_pairs` call, amortising kernel dispatch
+        across the whole window exactly like the raw-polymul path.
+        Bit-identical to ``[self.multiply(x, y) for x, y in pairs]``.
         """
         pairs = list(pairs)
-        flat = [(xi, yj) for x, y in pairs for xi in x.parts for yj in y.parts]
-        products = iter(Polynomial.multiply_pairs(flat))
-        out = []
-        for x, y in pairs:
-            out_len = len(x.parts) + len(y.parts) - 1
-            zero = self._attach(Polynomial.zero(self.params))
-            parts = [zero for _ in range(out_len)]
-            for i in range(len(x.parts)):
-                for j in range(len(y.parts)):
-                    parts[i + j] = parts[i + j] + next(products)
-            # |phase| multiplies, scaled by the ring expansion factor.  The
-            # worst case is n, but with high probability random phases grow
-            # by ~sqrt(n); we use 4*sqrt(n) as a high-probability bound
-            # (tests check actual noise stays below it) because the
-            # worst-case factor would declare the paper's single 20-bit
-            # modulus unusable.
-            bound = (x.noise_bound * y.noise_bound
-                     * 4.0 * float(np.sqrt(self.params.n)))
-            out.append(BgvCiphertext(parts=parts, noise_bound=bound))
-        return out
+        tensored = algebra.tensor([(x.parts, y.parts) for x, y in pairs])
+        # |phase| multiplies, scaled by the ring expansion factor.  The
+        # worst case is n, but with high probability random phases grow
+        # by ~sqrt(n); we use 4*sqrt(n) as a high-probability bound
+        # (tests check actual noise stays below it) because the
+        # worst-case factor would declare the paper's single 20-bit
+        # modulus unusable.
+        return [BgvCiphertext(parts=parts,
+                              noise_bound=x.noise_bound * y.noise_bound
+                              * 4.0 * float(np.sqrt(self.params.n)))
+                for parts, (x, y) in zip(tensored, pairs)]
 
     def relinearize(self, ct: BgvCiphertext,
                     rlk: RelinearizationKey) -> BgvCiphertext:
         """Reduce a degree-2 ciphertext back to degree 1 via key switching."""
         if ct.degree != 2:
             raise ValueError("relinearization expects a degree-2 ciphertext")
-        if rlk.base != self.relin_base:
+        if rlk.factors != self._relin_factors:
             raise ValueError("relinearization key uses a different base")
         c0, c1, c2 = ct.parts
-        # Decompose c2 into base-T digit polynomials, then batch the 2D
-        # key-switching products (digit x b_i and digit x a_i) in one call.
-        coeffs = ct.parts[2].coeffs.astype(np.int64)
-        digits = []
-        for i in range(self.relin_digits):
-            digit = (coeffs // (self.relin_base ** i)) % self.relin_base
-            digits.append(self._attach(Polynomial(digit, self.params)))
-        products = Polynomial.multiply_pairs(
-            [(d, rlk.b[i]) for i, d in enumerate(digits)]
-            + [(d, rlk.a[i]) for i, d in enumerate(digits)]
-        )
-        new0, new1 = c0, c1
-        for i in range(self.relin_digits):
-            new0 = new0 + products[i]
-            new1 = new1 - products[self.relin_digits + i]
+        # Decompose c2 into base-T digit polynomials; the 2D key-switching
+        # products (digit x b_i and digit x a_i) share one batched call.
+        coeffs = c2.coeffs.astype(np.int64)
+        digits = [self._attach(Polynomial(
+                      (coeffs // (self.relin_base ** i)) % self.relin_base,
+                      self.params))
+                  for i in range(self.relin_digits)]
+        new0, new1 = algebra.key_switch(c0, c1, digits, rlk)
         # Key-switching noise: t * sum_i |digit_i * e_i|, with the same
         # high-probability sqrt(n) expansion per digit product.
         switch_noise = (self.t * self.relin_digits * self.relin_base

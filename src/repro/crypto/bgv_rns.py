@@ -21,7 +21,10 @@ Implemented machinery (textbook BGV, RNS flavour):
   (automatic for ``t = 2``; checked otherwise).
 
 With the default three 24-bit primes the scheme evaluates depth-2 binary
-circuits with margin; tests exercise exactly that.
+circuits with margin; tests exercise exactly that.  Phase, add, tensor and
+key switching are :mod:`repro.crypto.algebra`, shared with BGV and BFV;
+this module keeps the sampling, the CRT digits, the noise accounting and
+modulus switching.
 """
 
 from __future__ import annotations
@@ -34,22 +37,16 @@ import numpy as np
 
 from ..ntt.modmath import mod_inverse
 from ..ntt.rns import RnsBasis, RnsPolynomial
+from . import algebra
+from .algebra import RelinearizationKey
 
-__all__ = ["RnsBgvScheme", "RnsBgvCiphertext", "RnsRelinKey"]
+__all__ = ["RnsBgvScheme", "RnsBgvCiphertext"]
 
 
 @dataclass(frozen=True)
 class RnsBgvSecretKey:
     s: RnsPolynomial          # at the top basis
     s_int: tuple              # the small integer coefficients (basis-free)
-
-
-@dataclass(frozen=True)
-class RnsRelinKey:
-    """Per-prime key-switching keys for ``s^2`` at the top basis."""
-
-    b: List[RnsPolynomial]
-    a: List[RnsPolynomial]
 
 
 @dataclass
@@ -123,19 +120,17 @@ class RnsBgvScheme:
             s_int=tuple(int(x) for x in s_int),
         )
 
-    def relin_keygen(self, sk: RnsBgvSecretKey) -> RnsRelinKey:
-        s2 = sk.s * sk.s
-        b_parts, a_parts = [], []
+    def relin_keygen(self, sk: RnsBgvSecretKey) -> RelinearizationKey:
+        """Per-prime key-switching keys for ``s^2`` at the top basis:
+        component ``i`` encrypts ``(Q/q_i) * [(Q/q_i)^-1]_{q_i} * s^2``."""
         big_q = self.basis.modulus
-        for i, q_i in enumerate(self.basis.primes):
+        garner = []
+        for q_i in self.basis.primes:
             q_hat = big_q // q_i
-            garner = (q_hat * mod_inverse(q_hat % q_i, q_i)) % big_q
-            a_i = self._uniform(self.basis)
-            e_i = self._small(self.basis)
-            b_i = a_i * sk.s + e_i.scale(self.t) + s2.scale(garner)
-            b_parts.append(b_i)
-            a_parts.append(a_i)
-        return RnsRelinKey(b=b_parts, a=a_parts)
+            garner.append((q_hat * mod_inverse(q_hat % q_i, q_i)) % big_q)
+        return algebra.relin_keygen(
+            sk.s, garner, lambda: self._uniform(self.basis),
+            lambda: self._small(self.basis), noise_scale=self.t)
 
     # -- encryption -----------------------------------------------------------------
 
@@ -158,14 +153,7 @@ class RnsBgvScheme:
         return RnsPolynomial.from_integers(basis, list(sk.s_int))
 
     def _phase(self, sk: RnsBgvSecretKey, ct: RnsBgvCiphertext) -> RnsPolynomial:
-        basis = ct.parts[0].basis
-        s = self._sk_at(sk, basis)
-        phase = ct.parts[0]
-        s_power = s
-        for part in ct.parts[1:]:
-            phase = phase + part * s_power
-            s_power = s_power * s
-        return phase
+        return algebra.phase(ct.parts, self._sk_at(sk, ct.parts[0].basis))
 
     def decrypt(self, sk: RnsBgvSecretKey, ct: RnsBgvCiphertext) -> np.ndarray:
         centered = self._phase(sk, ct).to_centered()
@@ -183,28 +171,18 @@ class RnsBgvScheme:
     def add(self, x: RnsBgvCiphertext, y: RnsBgvCiphertext) -> RnsBgvCiphertext:
         if x.level != y.level:
             raise ValueError("level mismatch: modulus-switch first")
-        longest, shortest = (x, y) if len(x.parts) >= len(y.parts) else (y, x)
-        parts = list(longest.parts)
-        for i, part in enumerate(shortest.parts):
-            parts[i] = parts[i] + part
-        return RnsBgvCiphertext(parts, x.noise_bound + y.noise_bound)
+        return RnsBgvCiphertext(algebra.add(x.parts, y.parts),
+                                x.noise_bound + y.noise_bound)
 
     def multiply(self, x: RnsBgvCiphertext, y: RnsBgvCiphertext) -> RnsBgvCiphertext:
         if x.level != y.level:
             raise ValueError("level mismatch: modulus-switch first")
-        basis = x.parts[0].basis
-        out_len = len(x.parts) + len(y.parts) - 1
-        parts = [RnsPolynomial.zero(basis) for _ in range(out_len)]
-        pairs = [(xi, yj) for xi in x.parts for yj in y.parts]
-        products = iter(RnsPolynomial.multiply_pairs(pairs))
-        for i in range(len(x.parts)):
-            for j in range(len(y.parts)):
-                parts[i + j] = parts[i + j] + next(products)
+        [parts] = algebra.tensor([(x.parts, y.parts)])
         return RnsBgvCiphertext(
             parts, x.noise_bound * y.noise_bound * self._expansion)
 
     def relinearize(self, ct: RnsBgvCiphertext,
-                    rlk: RnsRelinKey) -> RnsBgvCiphertext:
+                    rlk: RelinearizationKey) -> RnsBgvCiphertext:
         if ct.degree != 2:
             raise ValueError("relinearization expects a degree-2 ciphertext")
         basis = ct.parts[0].basis
@@ -217,20 +195,13 @@ class RnsBgvScheme:
             RnsPolynomial.from_integers(basis, [int(v) for v in c2.residues[i]])
             for i in range(basis.levels)
         ]
-        products = RnsPolynomial.multiply_pairs(
-            [(d, rlk.b[i]) for i, d in enumerate(digits)]
-            + [(d, rlk.a[i]) for i, d in enumerate(digits)]
-        )
-        new0, new1 = c0, c1
-        for i in range(basis.levels):
-            new0 = new0 + products[i]
-            new1 = new1 - products[basis.levels + i]
+        new0, new1 = algebra.key_switch(c0, c1, digits, rlk)
         worst_digit = max(basis.primes)
         switch_noise = (self.t * basis.levels * worst_digit * self.eta
                         * self._expansion)
         return RnsBgvCiphertext([new0, new1], ct.noise_bound + switch_noise)
 
-    def mod_switch(self, ct: RnsBgvCiphertext, sk_hint=None) -> RnsBgvCiphertext:
+    def mod_switch(self, ct: RnsBgvCiphertext) -> RnsBgvCiphertext:
         """Drop the last tower prime, rescaling the noise by ~1/p."""
         basis = ct.parts[0].basis
         if basis.levels < 2:

@@ -22,7 +22,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .bgv import BgvCiphertext, BgvScheme, BgvSecretKey, RelinearizationKey
+from .algebra import RelinearizationKey
+from .bgv import BgvCiphertext, BgvScheme, BgvSecretKey
 
 __all__ = ["pack_forward", "pack_reversed", "encrypted_dot_product",
            "encrypted_poly_eval", "encrypted_xor_aggregate"]

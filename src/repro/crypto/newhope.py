@@ -9,45 +9,30 @@ to verify) decoder.  Each of the 256 key bits is spread over ``n/256``
 coefficients and decoded by majority, which drives the failure probability
 to negligible levels.
 
-The heavy operations - four ring multiplications per encapsulation - run
-on the pluggable multiplier backend, i.e. on CryptoPIM when one is passed.
+Keys, ciphertexts, encryption and the threshold decoder are the LPR core
+of :mod:`repro.crypto.rlwe`; this module adds only the spread encoding and
+the majority decode.  The heavy operations - four ring multiplications per
+encapsulation - run on the pluggable multiplier backend, i.e. on CryptoPIM
+when one is passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..ntt.params import NttParams, params_for_degree
-from ..ntt.polynomial import MultiplierBackend, Polynomial
-from .sampling import cbd_poly, uniform_poly
+from ..ntt.params import params_for_degree
+from ..ntt.polynomial import MultiplierBackend
+from .rlwe import RlweCiphertext, RlwePublicKey, RlweScheme, RlweSecretKey
 
-__all__ = ["NewHopeKem", "NewHopePublicKey", "NewHopeCiphertext", "KEY_BITS"]
+__all__ = ["NewHopeKem", "KEY_BITS"]
 
 #: shared-secret size (NewHope targets a 256-bit key)
 KEY_BITS = 256
 
 
-@dataclass(frozen=True)
-class NewHopePublicKey:
-    a: Polynomial
-    b: Polynomial
-
-
-@dataclass(frozen=True)
-class NewHopeSecretKey:
-    s: Polynomial
-
-
-@dataclass(frozen=True)
-class NewHopeCiphertext:
-    u: Polynomial
-    v: Polynomial
-
-
-class NewHopeKem:
+class NewHopeKem(RlweScheme):
     """Simplified NewHope KEM over n in {512, 1024}, q = 12289."""
 
     def __init__(self, n: int = 1024, eta: int = 8,
@@ -55,49 +40,17 @@ class NewHopeKem:
                  rng: Optional[np.random.Generator] = None):
         if n < KEY_BITS or n % KEY_BITS:
             raise ValueError(f"n must be a multiple of {KEY_BITS}")
-        self.params: NttParams = params_for_degree(n)
-        self.eta = eta
-        self.backend = backend
-        self.rng = rng if rng is not None else np.random.default_rng()
+        super().__init__(params_for_degree(n), backend=backend, eta=eta,
+                         rng=rng)
         self._spread = n // KEY_BITS
-        self._half_q = self.params.q // 2
 
-    def _attach(self, poly: Polynomial) -> Polynomial:
-        return poly.with_backend(self.backend) if self.backend else poly
-
-    def _noise(self) -> Polynomial:
-        return self._attach(cbd_poly(self.params, self.rng, self.eta))
-
-    def _encode_key(self, key_bits: np.ndarray) -> Polynomial:
-        """Spread each key bit over ``n/256`` coefficients at q/2."""
-        coeffs = np.repeat(key_bits.astype(np.int64), self._spread) * self._half_q
-        return self._attach(Polynomial(coeffs, self.params))
-
-    def _decode_key(self, noisy: Polynomial) -> np.ndarray:
-        """Majority-vote each key bit from its coefficient group."""
-        centered = np.abs(noisy.centered_coeffs())
-        votes = (centered > self.params.q // 4).reshape(KEY_BITS, self._spread)
-        return (votes.sum(axis=1) * 2 > self._spread).astype(np.int64)
-
-    # -- KEM interface ------------------------------------------------------
-
-    def keygen(self) -> tuple[NewHopePublicKey, NewHopeSecretKey]:
-        a = self._attach(uniform_poly(self.params, self.rng))
-        s = self._noise()
-        e = self._noise()
-        return NewHopePublicKey(a=a, b=a * s + e), NewHopeSecretKey(s=s)
-
-    def encapsulate(self, pk: NewHopePublicKey) -> tuple[NewHopeCiphertext, np.ndarray]:
-        """Return (ciphertext, shared_key_bits)."""
+    def encapsulate(self, pk: RlwePublicKey) -> tuple[RlweCiphertext, np.ndarray]:
+        """Return (ciphertext, shared_key_bits): each key bit is encrypted
+        in ``n/256`` coefficients."""
         key_bits = self.rng.integers(0, 2, KEY_BITS)
-        r = self._noise()
-        e1 = self._noise()
-        e2 = self._noise()
-        u = pk.a * r + e1
-        v = pk.b * r + e2 + self._encode_key(key_bits)
-        return NewHopeCiphertext(u=u, v=v), key_bits
+        return self.encrypt(pk, np.repeat(key_bits, self._spread)), key_bits
 
-    def decapsulate(self, sk: NewHopeSecretKey,
-                    ct: NewHopeCiphertext) -> np.ndarray:
-        """Recover the shared key bits."""
-        return self._decode_key(ct.v - ct.u * sk.s)
+    def decapsulate(self, sk: RlweSecretKey, ct: RlweCiphertext) -> np.ndarray:
+        """Recover the shared key bits by majority over each bit's group."""
+        votes = self.decrypt(sk, ct).reshape(KEY_BITS, self._spread)
+        return (votes.sum(axis=1) * 2 > self._spread).astype(np.int64)

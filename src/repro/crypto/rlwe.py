@@ -17,6 +17,10 @@ Scheme (Lyubashevsky-Peikert-Regev):
 Decryption succeeds when the accumulated noise stays below ``q/4``; with
 the default CBD(eta=2) noise this holds with overwhelming margin for every
 parameter set in :mod:`repro.ntt.params`.
+
+:class:`RingScheme` holds what every scheme over one ring shares (the
+parameters, noise width, backend and randomness); NewHope runs on this
+LPR core, and BGV and BFV build on the same base.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from ..ntt.params import NttParams, params_for_degree
 from ..ntt.polynomial import MultiplierBackend, Polynomial
 from .sampling import cbd_poly, uniform_poly
 
-__all__ = ["RlwePublicKey", "RlweSecretKey", "RlweCiphertext", "RlweScheme"]
+__all__ = ["RlwePublicKey", "RlweSecretKey", "RlweCiphertext", "RingScheme",
+           "RlweScheme"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,9 @@ class RlweCiphertext:
     v: Polynomial
 
 
-class RlweScheme:
-    """LPR public-key encryption over one parameter set.
+class RingScheme:
+    """What every scheme over one ring ``R_q`` shares: its parameters, CBD
+    noise width, multiplier backend and source of randomness.
 
     Args:
         params: ring parameters (degree picks the paper's modulus).
@@ -72,13 +78,6 @@ class RlweScheme:
         self.backend = backend
         self.eta = eta
         self.rng = rng if rng is not None else np.random.default_rng()
-        self._half_q = params.q // 2
-
-    @classmethod
-    def for_degree(cls, n: int, **kwargs) -> "RlweScheme":
-        return cls(params_for_degree(n), **kwargs)
-
-    # -- internals -------------------------------------------------------------
 
     def _attach(self, poly: Polynomial) -> Polynomial:
         return poly.with_backend(self.backend) if self.backend else poly
@@ -86,10 +85,25 @@ class RlweScheme:
     def _noise(self) -> Polynomial:
         return self._attach(cbd_poly(self.params, self.rng, self.eta))
 
-    # -- the scheme ---------------------------------------------------------------
+    def _uniform(self) -> Polynomial:
+        return self._attach(uniform_poly(self.params, self.rng))
+
+
+class RlweScheme(RingScheme):
+    """LPR public-key encryption over one parameter set (arguments as
+    :class:`RingScheme`)."""
+
+    @classmethod
+    def for_degree(cls, n: int, **kwargs) -> "RlweScheme":
+        return cls(params_for_degree(n), **kwargs)
+
+    def _encode(self, bits: np.ndarray) -> Polynomial:
+        return self._attach(Polynomial(
+            np.asarray(bits, dtype=np.int64) * (self.params.q // 2),
+            self.params))
 
     def keygen(self) -> tuple[RlwePublicKey, RlweSecretKey]:
-        a = self._attach(uniform_poly(self.params, self.rng))
+        a = self._uniform()
         s = self._noise()
         e = self._noise()
         b = a * s + e
@@ -105,23 +119,21 @@ class RlweScheme:
         r = self._noise()
         e1 = self._noise()
         e2 = self._noise()
-        encoded = Polynomial(bits.astype(np.int64) * self._half_q, self.params)
         u = pk.a * r + e1
-        v = pk.b * r + e2 + self._attach(encoded)
+        v = pk.b * r + e2 + self._encode(bits)
         return RlweCiphertext(u=u, v=v)
+
+    def phase(self, sk: RlweSecretKey, ct: RlweCiphertext) -> Polynomial:
+        """``v - u*s``: the encoded message plus the decryption noise."""
+        return ct.v - ct.u * sk.s
 
     def decrypt(self, sk: RlweSecretKey, ct: RlweCiphertext) -> np.ndarray:
         """Recover the message bits by threshold decoding."""
-        noisy = ct.v - ct.u * sk.s
-        centered = noisy.centered_coeffs()
+        centered = self.phase(sk, ct).centered_coeffs()
         # A coefficient encodes 1 when it sits nearer q/2 than 0.
         return (np.abs(centered) > self.params.q // 4).astype(np.int64)
 
     def decryption_noise(self, sk: RlweSecretKey, ct: RlweCiphertext,
                          message_bits: np.ndarray) -> int:
         """Infinity-norm of the decryption noise (must stay below q/4)."""
-        noisy = ct.v - ct.u * sk.s
-        encoded = Polynomial(
-            np.asarray(message_bits, dtype=np.int64) * self._half_q, self.params
-        )
-        return (noisy - self._attach(encoded)).infinity_norm()
+        return (self.phase(sk, ct) - self._encode(message_bits)).infinity_norm()

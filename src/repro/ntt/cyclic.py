@@ -4,79 +4,44 @@ The paper's rings are negacyclic (``x^n + 1``), but the same transform
 machinery serves the *cyclic* ring ``x^n - 1`` (plain circular
 convolution) - and, through zero-padding, exact linear convolution, whose
 flagship application is Schonhage-Strassen-style big-integer
-multiplication.  Including it shows the substrate is a general NTT
-library, not a single-purpose kernel, and provides an independent
-correctness anchor (Python's built-in big-int product).
+multiplication.  Both run on the production negacyclic datapath (one
+:class:`~repro.ntt.rns.RnsPolynomial` product), which shows the substrate
+is a general NTT library, not a single-purpose kernel, and provides an
+independent correctness anchor (Python's built-in big-int product).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-from .modmath import mod_inverse, nth_root_of_unity
-from .rns import RnsBasis
+from .rns import RnsBasis, RnsPolynomial
 
 __all__ = ["cyclic_convolve", "linear_convolve", "bigint_multiply"]
-
-
-def _cyclic_via_ntt(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Circular convolution mod q via a radix-2 cyclic NTT."""
-    n = len(a)
-    w = nth_root_of_unity(n, q)
-
-    def transform(values: np.ndarray, root: int) -> np.ndarray:
-        out = values.astype(object).copy()
-        if n == 1:
-            return out
-        # iterative Cooley-Tukey over the cyclic group
-        levels = n.bit_length() - 1
-        # bit-reverse
-        rev = [int(f"{i:0{levels}b}"[::-1], 2) for i in range(n)]
-        out = out[rev]
-        half = 1
-        while half < n:
-            step_root = pow(root, n // (2 * half), q)
-            for start in range(0, n, 2 * half):
-                factor = 1
-                for j in range(half):
-                    x = out[start + j]
-                    y = (out[start + j + half] * factor) % q
-                    out[start + j] = (x + y) % q
-                    out[start + j + half] = (x - y) % q
-                    factor = (factor * step_root) % q
-            half *= 2
-        return out
-
-    fa = transform(a % q, w)
-    fb = transform(b % q, w)
-    fc = (fa * fb) % q
-    out = transform(fc, mod_inverse(w, q))
-    n_inv = mod_inverse(n, q)
-    return np.asarray([(int(v) * n_inv) % q for v in out], dtype=object)
 
 
 def cyclic_convolve(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
     """Circular convolution of two equal-length vectors mod ``q``.
 
-    ``q`` must be a prime with an ``n``-th root of unity (``n | q - 1``).
+    The exact linear product of the residues, folded mod ``x^n - 1``
+    (coefficient ``k + n`` lands on ``k``) and reduced mod ``q``.
     """
-    a_arr = np.asarray(list(a), dtype=object)
-    b_arr = np.asarray(list(b), dtype=object)
-    n = len(a_arr)
-    if len(b_arr) != n:
+    a, b = list(a), list(b)
+    n = len(a)
+    if len(b) != n:
         raise ValueError("operands must have equal length")
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    return [int(v) for v in _cyclic_via_ntt(a_arr, b_arr, q)]
+    linear = linear_convolve([v % q for v in a], [v % q for v in b])
+    linear += [0] * (2 * n - len(linear))
+    return [(linear[k] + linear[k + n]) % q for k in range(n)]
 
 
 def linear_convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Exact integer linear convolution via CRT-NTT (no wraparound).
 
-    Zero-pads to the next power of two at least ``len(a) + len(b) - 1``
-    and multiplies under a CRT basis wide enough for the exact result.
+    One negacyclic :class:`RnsPolynomial` product at a power-of-two size
+    of at least ``len(a) + len(b) - 1``, where nothing wraps, under a CRT
+    basis wide enough for the exact result.
     """
     a, b = list(a), list(b)
     if not a or not b:
@@ -88,23 +53,15 @@ def linear_convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
     while size < out_len:
         size *= 2
     bound = min(len(a), len(b)) * max(a + [1]) * max(b + [1])
-    basis = None
     levels = 1
     while True:
         basis = RnsBasis.generate(size, levels, bits=24)
         if basis.modulus > 2 * bound:
             break
         levels += 1
-    padded_a = np.zeros(size, dtype=object)
-    padded_b = np.zeros(size, dtype=object)
-    padded_a[: len(a)] = a
-    padded_b[: len(b)] = b
-    residue_results = []
-    for q in basis.primes:
-        residue_results.append(_cyclic_via_ntt(padded_a, padded_b, q))
-    stacked = np.stack([np.asarray(r, dtype=np.uint64)
-                        for r in residue_results])
-    return basis.reconstruct(stacked)[:out_len]
+    product = (RnsPolynomial.from_integers(basis, a + [0] * (size - len(a)))
+               * RnsPolynomial.from_integers(basis, b + [0] * (size - len(b))))
+    return product.to_integers()[:out_len]
 
 
 def bigint_multiply(x: int, y: int, limb_bits: int = 16) -> int:

@@ -276,8 +276,7 @@ class ChipFleet:
 
     def capacity_for(self, n: int) -> int:
         """Per-shard parallel-superbank capacity (shards are identical)."""
-        return self.shards[0].timeline.chip.configure(
-            n).parallel_multiplications
+        return self.shards[0].timeline.chip.configure(n).superbanks
 
     # -- reporting ------------------------------------------------------------
 

@@ -48,15 +48,14 @@ class TestChip:
         chip = CryptoPimChip()
         cfg = chip.configure(32768)
         assert cfg.superbanks == 1
-        assert cfg.parallel_multiplications == 1
         assert cfg.banks_idle == 0
 
     def test_small_degrees_reconfigure_into_many_superbanks(self):
         """Section III-D.2: degrees below 32k multiply several polynomial
         pairs in parallel."""
         chip = CryptoPimChip()
-        assert chip.configure(512).parallel_multiplications == 64
-        assert chip.configure(16384).parallel_multiplications == 2
+        assert chip.configure(512).superbanks == 64
+        assert chip.configure(16384).superbanks == 2
 
     def test_beyond_native_degree_segments(self):
         chip = CryptoPimChip()

@@ -153,7 +153,7 @@ class TestBatchedEngine:
 class TestAcceleratorBatch:
     def test_batch_larger_than_superbanks(self, rng):
         acc = CryptoPIM.for_degree(256)
-        superbanks = CryptoPimChip().configure(256).parallel_multiplications
+        superbanks = CryptoPimChip().configure(256).superbanks
         count = superbanks + 5
         pairs = [(rng.integers(0, acc.q, 256), rng.integers(0, acc.q, 256))
                  for _ in range(count)]

@@ -94,7 +94,7 @@ class TestOneCompletionLaw:
         """ChipTimeline, ChipScheduler and multiply_batch all read the
         one law, with the chip's superbanks and 32k segments streamed."""
         config = CryptoPimChip().configure(n)
-        superbanks = config.parallel_multiplications
+        superbanks = config.superbanks
         segments = config.segments_per_polynomial
         model = PipelineModel.for_degree(min(n, MAX_NATIVE_DEGREE))
         for count in sorted({1, max(1, superbanks - 1), superbanks,
@@ -111,7 +111,7 @@ class TestOneCompletionLaw:
     @pytest.mark.parametrize("n", (256, 1024))
     def test_multiply_batch_prices_one_pipeline(self, n):
         acc = CryptoPIM.for_degree(n)
-        superbanks = CryptoPimChip().configure(n).parallel_multiplications
+        superbanks = CryptoPimChip().configure(n).superbanks
         rng = np.random.default_rng(n)
         for count in (1, superbanks - 1, superbanks, superbanks + 1):
             pairs = [(rng.integers(0, acc.q, n), rng.integers(0, acc.q, n))

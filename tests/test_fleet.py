@@ -66,7 +66,7 @@ class TestFleetConstruction:
         fleet = ChipFleet(num_chips=1)
         assert len(fleet.shards) == 1
         assert fleet.capacity_for(256) == fleet.shards[0].timeline.chip \
-            .configure(256).parallel_multiplications
+            .configure(256).superbanks
 
 
 # ---------------------------------------------------------------------------

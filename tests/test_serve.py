@@ -264,7 +264,7 @@ class TestChipTimeline:
     def test_completion_law(self):
         timeline = ChipTimeline()
         model = PipelineModel.for_degree(1024)
-        superbanks = CryptoPimChip().configure(1024).parallel_multiplications
+        superbanks = CryptoPimChip().configure(1024).superbanks
         count = superbanks * 2 + 3
         timing = timeline.dispatch(1024, count)
         for i, cycle in enumerate(timing.completion_cycles):
@@ -285,7 +285,7 @@ class TestChipTimeline:
 
     def test_occupancy(self):
         timeline = ChipTimeline()
-        superbanks = CryptoPimChip().configure(256).parallel_multiplications
+        superbanks = CryptoPimChip().configure(256).superbanks
         full = timeline.dispatch(256, superbanks)
         assert full.occupancy == pytest.approx(1.0)
         half = timeline.dispatch(256, superbanks // 2)
