@@ -18,13 +18,14 @@ completion times follow ``(depth + k - 1) * stage_latency``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from .pipeline import PipelineModel
 from .stages import OpKind
 
 __all__ = ["MicroOp", "ControllerProgram", "compile_multiplication",
-           "pipelined_completion_cycles"]
+           "pipelined_completion_cycles", "completion_offsets"]
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,24 @@ def pipelined_completion_cycles(model: PipelineModel, count: int,
     stream back to back, so it completes at
     ``(depth + (i // superbanks + 1) * segments - 1) * stage``.  One
     pipeline at a native degree gives ``(depth + k - 1) * stage`` for
-    result k (1-based), the Table II streaming law."""
+    result k (1-based), the Table II streaming law.  Returns a fresh
+    list of :func:`completion_offsets`."""
+    return list(completion_offsets(model, count, superbanks, segments))
+
+
+@lru_cache(maxsize=256)
+def completion_offsets(model: PipelineModel, count: int,
+                       superbanks: int = 1,
+                       segments: int = 1) -> Tuple[int, ...]:
+    """:func:`pipelined_completion_cycles` as an immutable tuple, priced
+    once per ``(model, count, superbanks, segments)``: a model is an
+    immutable cost table, so its law never changes, and callers that
+    dispatch the same batch shape again only add their start cycle."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if superbanks < 1 or segments < 1:
         raise ValueError("superbanks and segments must be >= 1")
     stage = model.stage_cycles
     depth = model.depth
-    return [(depth + (i // superbanks + 1) * segments - 1) * stage
-            for i in range(count)]
+    return tuple((depth + (i // superbanks + 1) * segments - 1) * stage
+                 for i in range(count))

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.chip import ChipConfiguration, CryptoPimChip, MAX_NATIVE_DEGREE
 from ..pim.device import PAPER_DEVICE
-from .controller import pipelined_completion_cycles
+from .controller import completion_offsets
 from .pipeline import PipelineModel
 
 __all__ = ["MultiplicationJob", "BatchTiming", "ChipTimeline",
@@ -44,10 +44,14 @@ def chip_completion_cycles(config: ChipConfiguration, count: int) -> List[int]:
     multiplications completes on a chip arranged as ``config``: the one
     completion law with the arrangement's parallel superbanks, each
     product streamed as its 32k segments on the native-degree pipeline."""
+    return list(_chip_offsets(config, count))
+
+
+def _chip_offsets(config: ChipConfiguration, count: int) -> Tuple[int, ...]:
+    """:func:`chip_completion_cycles` as the law's memoised tuple."""
     model = PipelineModel.for_degree(min(config.n, MAX_NATIVE_DEGREE))
-    return pipelined_completion_cycles(
-        model, count, config.superbanks,
-        config.segments_per_polynomial)
+    return completion_offsets(model, count, config.superbanks,
+                              config.segments_per_polynomial)
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ class ChipTimeline:
             self.reconfigurations += 1
             self.reconfig_cycles += reconfig
         start = self.clock_cycles + reconfig
-        completions = [start + c for c in chip_completion_cycles(config, count)]
+        completions = list(map(start.__add__, _chip_offsets(config, count)))
         self.configured_n = n
         self.clock_cycles = completions[-1]
         self.busy_cycles += completions[-1] - start
@@ -150,7 +154,7 @@ class ChipTimeline:
         """Cycles of one full degree-``n`` pipeline pass (one item's
         completion) - the natural unit of backlog for fleet routing
         heuristics."""
-        return chip_completion_cycles(self.chip.configure(n), 1)[0]
+        return _chip_offsets(self.chip.configure(n), 1)[0]
 
     def advance_idle(self, cycles: int) -> None:
         """Advance the clock through ``cycles`` of explicit idleness

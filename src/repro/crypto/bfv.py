@@ -77,6 +77,8 @@ class BfvScheme(RingScheme):
         params = params_for_degree(n)
         if not 2 <= t < params.q:
             raise ValueError("need 2 <= t < q")
+        if relin_base < 2:
+            raise ValueError("relinearization base must be >= 2")
         super().__init__(params, backend=backend, eta=eta, rng=rng)
         self.t = t
         self.relin_base = relin_base

@@ -32,6 +32,8 @@ _RESERVOIR = 65536
 class Counter:
     """Monotonic event counter."""
 
+    __slots__ = ("name", "value")
+
     def __init__(self, name: str):
         self.name = name
         self.value = 0
@@ -48,6 +50,8 @@ class Gauge:
     drift, a deficit) reports its true maximum instead of a spurious 0.
     """
 
+    __slots__ = ("name", "value", "high_water", "_touched")
+
     def __init__(self, name: str):
         self.name = name
         self.value = 0.0
@@ -55,11 +59,10 @@ class Gauge:
         self._touched = False
 
     def set(self, value: float) -> None:
-        self.value = float(value)
-        if self._touched:
-            self.high_water = max(self.high_water, self.value)
-        else:
-            self.high_water = self.value
+        self.value = value = float(value)
+        # NaN compares false, so it never raises the mark (as max() kept it)
+        if value > self.high_water or not self._touched:
+            self.high_water = value
             self._touched = True
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple
 
 from ..pim.device import PAPER_DEVICE
 
@@ -78,9 +78,14 @@ class ServeRequest:
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
 
 
-@dataclass(frozen=True)
-class ServeResult:
-    """A completed request: the value plus where its time went."""
+class ServeResult(NamedTuple):
+    """A completed request: the value plus where its time went.
+
+    An immutable tuple with named fields: a window builds one per member,
+    and a positional tuple construction costs a fraction of a frozen
+    dataclass's one ``object.__setattr__`` per field.  Results compare
+    by value.
+    """
 
     request_id: int
     kind: RequestKind

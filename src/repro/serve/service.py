@@ -33,6 +33,11 @@ native degrees served here, ``(depth + slot) * stage_cycles`` with the
 chip's parallel superbanks - including reconfiguration penalties when
 consecutive batches switch degree.  Degrees above 32k, which the chip
 would stream as back-to-back 32k segments, are refused at admission.
+
+Submit pays per route: the first request a ``(kind, n)`` key admits
+builds the key's route record (queue, counters, depth gauges, payload
+check), and a later untraced request of that key skips the key check
+and every handle lookup.  Traced requests take the full path.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from numbers import Integral
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +109,69 @@ def _ring_operand(x: Any, n: int, q: int) -> bool:
                     for p in parts))
 
 
+def _unsupported(kind: Any, n: Any) -> Optional[str]:
+    """The key check: why ``(kind, n)`` cannot be served (the detail of
+    its ``UNSUPPORTED`` refusal), or ``None`` for a servable key."""
+    if not isinstance(kind, RequestKind):
+        return f"unknown kind {kind!r}"
+    if kind in _KEM_KINDS and n != KYBER_DEGREE:
+        return f"Kyber serves n={KYBER_DEGREE} only"
+    if (not isinstance(n, Integral) or n < 4 or n & (n - 1)
+            or n > MAX_NATIVE_DEGREE):
+        return f"degree must be a power of two in [4, {MAX_NATIVE_DEGREE}]"
+    return None
+
+
+_PayloadCheck = Callable[[Any], Any]
+
+
+@lru_cache(maxsize=None)
+def _payload_check(kind: RequestKind, n: int) -> Tuple[_PayloadCheck, str]:
+    """The payload check of a servable key, and the detail of its
+    ``INVALID`` refusal.
+
+    The check returns the payload as the handlers take it, or raises
+    ``TypeError``/``ValueError``.  POLYMUL and NTT operands come back as
+    length-``n`` uint64 vectors and HE operands must be ciphertexts over
+    the degree's ring, so an operand the kernel could not take is refused
+    at submit, alone, instead of failing the whole batch window it would
+    have joined.  Keys are bounded (nine kinds, fourteen degrees), so the
+    cache is too.
+    """
+    if kind is RequestKind.POLYMUL:
+        def polymul(payload: Any) -> Any:
+            a, b = payload
+            return _coefficients(a, n), _coefficients(b, n)
+        return polymul, (f"POLYMUL payload must be two length-{n} "
+                         f"integer vectors")
+    if kind in (RequestKind.NTT_FORWARD, RequestKind.NTT_INVERSE):
+        def vector(payload: Any) -> Any:
+            return _coefficients(payload, n)
+        return vector, f"NTT payload must be one length-{n} integer vector"
+    if kind in _HE_PAIR_KINDS:
+        q = params_for_degree(n).q
+
+        def pair(payload: Any) -> Any:
+            x, y = payload
+            if not (_ring_operand(x, n, q) and _ring_operand(y, n, q)):
+                raise TypeError("not a pair of ring ciphertexts")
+            return payload
+        return pair, (f"eval payload must be a pair of ciphertexts "
+                      f"over the (n={n}, q={q}) ring")
+    if kind is RequestKind.KYBER_DECAPS:
+        def ciphertext(payload: Any) -> Any:
+            if not hasattr(payload, "u"):
+                raise TypeError("not a Kyber ciphertext")
+            return payload
+        return ciphertext, "decaps payload must be a Kyber ciphertext"
+    # KYBER_ENCAPS encapsulates against the service key: no operand
+    return _as_given, ""
+
+
+def _as_given(payload: Any) -> Any:
+    return payload
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """All serving knobs in one place.
@@ -154,15 +224,20 @@ class ServiceConfig:
         )
 
 
-@dataclass
 class _Pending:
     """A queued request plus its completion plumbing."""
 
-    request: ServeRequest
-    payload: Any              # as admission coerced it for the handlers
-    enqueued_at: float
-    future: "asyncio.Future[Union[ServeResult, Rejection]]"
-    trace: Span = NULL_SPAN
+    __slots__ = ("request", "payload", "enqueued_at", "future", "trace")
+
+    def __init__(self, request: ServeRequest, payload: Any,
+                 enqueued_at: float,
+                 future: "asyncio.Future[Union[ServeResult, Rejection]]",
+                 trace: Span = NULL_SPAN):
+        self.request = request
+        self.payload = payload    # as admission coerced it for the handlers
+        self.enqueued_at = enqueued_at
+        self.future = future
+        self.trace = trace
 
 
 class _Backlog:
@@ -225,6 +300,29 @@ class _QueueState:
     meters: Optional[_BatchMeters] = field(repr=False, default=None)
 
 
+class _Route:
+    """What an untraced submit of one served ``(kind, n)`` key needs,
+    resolved once, when the key's first request is admitted: its queue
+    state, its submit counters, its payload check with the ``INVALID``
+    detail, and its depth gauges.  The key check passed when the route
+    was built, so a warm submit pays one dict lookup for all of it."""
+
+    __slots__ = ("queue", "counters", "check", "invalid", "gauges")
+
+    def __init__(self, state: _QueueState, counters: Tuple[Counter, ...],
+                 gauges: Tuple[Gauge, Gauge]):
+        self.queue = state.queue
+        self.counters = counters
+        self.check, self.invalid = _payload_check(*state.key)
+        self.gauges = gauges
+
+
+def _refusal(request: ServeRequest, reason: RejectReason,
+             detail: str) -> Rejection:
+    return Rejection(request_id=request.request_id, kind=request.kind,
+                     n=request.n, reason=reason, detail=detail)
+
+
 class CryptoPimService:
     """Async multi-tenant front door over a fleet of simulated chips.
 
@@ -248,6 +346,8 @@ class CryptoPimService:
                                policy=config.routing, seed=config.seed)
         self._admission = AdmissionController(config.admission_policy())
         self._queues: Dict[Tuple[RequestKind, int], _QueueState] = {}
+        # the untraced submit path of each key that has admitted a request
+        self._routes: Dict[Tuple[RequestKind, int], _Route] = {}
         self._backlog = _Backlog()
         # counter handles per request kind and per rejection reason, and
         # per-chip dispatch counters, each resolved on first use
@@ -301,63 +401,19 @@ class CryptoPimService:
     def _validate(self, request: ServeRequest,
                   ) -> Tuple[Any, Optional[Rejection]]:
         """``(payload, None)`` for a servable request, else ``(None,
-        rejection)``.
-
-        POLYMUL and NTT operands come back as length-``n`` uint64 vectors
-        and HE operands must be ciphertexts over the degree's ring, so an
-        operand the kernel could not take is refused here, alone, instead
-        of failing the whole batch window it would have joined.
-        """
-        def refuse(reason: RejectReason,
-                   detail: str) -> Tuple[Any, Optional[Rejection]]:
-            return None, Rejection(request_id=request.request_id,
-                                   kind=request.kind, n=request.n,
-                                   reason=reason, detail=detail)
-
+        rejection)``: the shutdown check, the key check, then the key's
+        payload check (the one a route runs)."""
         if not self._running:
-            return refuse(RejectReason.SHUTDOWN, "service is draining")
-        if not isinstance(request.kind, RequestKind):
-            return refuse(RejectReason.UNSUPPORTED,
-                          f"unknown kind {request.kind!r}")
-        n = request.n
-        if request.kind in _KEM_KINDS and n != KYBER_DEGREE:
-            return refuse(RejectReason.UNSUPPORTED,
-                          f"Kyber serves n={KYBER_DEGREE} only")
-        if n < 4 or n & (n - 1) or n > MAX_NATIVE_DEGREE:
-            return refuse(
-                RejectReason.UNSUPPORTED,
-                f"degree must be a power of two in [4, {MAX_NATIVE_DEGREE}]")
-        payload = request.payload
-        if request.kind is RequestKind.POLYMUL:
-            try:
-                a, b = payload
-                payload = (_coefficients(a, n), _coefficients(b, n))
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              f"POLYMUL payload must be two length-{n} "
-                              f"integer vectors")
-        elif request.kind in (RequestKind.NTT_FORWARD, RequestKind.NTT_INVERSE):
-            try:
-                payload = _coefficients(payload, n)
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              f"NTT payload must be one length-{n} "
-                              f"integer vector")
-        elif request.kind in _HE_PAIR_KINDS:
-            q = params_for_degree(n).q
-            try:
-                x, y = payload
-                if not (_ring_operand(x, n, q) and _ring_operand(y, n, q)):
-                    raise TypeError
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              f"eval payload must be a pair of ciphertexts "
-                              f"over the (n={n}, q={q}) ring")
-        elif request.kind is RequestKind.KYBER_DECAPS:
-            if not hasattr(payload, "u"):
-                return refuse(RejectReason.INVALID,
-                              "decaps payload must be a Kyber ciphertext")
-        return payload, None
+            return None, _refusal(request, RejectReason.SHUTDOWN,
+                                  "service is draining")
+        detail = _unsupported(request.kind, request.n)
+        if detail is not None:
+            return None, _refusal(request, RejectReason.UNSUPPORTED, detail)
+        check, invalid = _payload_check(request.kind, request.n)
+        try:
+            return check(request.payload), None
+        except (TypeError, ValueError):
+            return None, _refusal(request, RejectReason.INVALID, invalid)
 
     # -- queue plumbing -------------------------------------------------------
 
@@ -378,9 +434,10 @@ class CryptoPimService:
             self._queues[key] = state
         return state
 
-    def _depth_gauge(self, state: _QueueState) -> None:
+    def _depth_gauge(self, state: _QueueState) -> Tuple[Gauge, Gauge]:
         """Set the queue's depth gauge and ``backlog_total``, the running
-        count of every queued request - O(1) in the number of queues."""
+        count of every queued request - O(1) in the number of queues.
+        Returns the two gauges."""
         gauges = state.gauges
         if gauges is None:
             kind, n = state.key
@@ -390,6 +447,7 @@ class CryptoPimService:
         depth, backlog = gauges
         depth.set(state.queue.qsize())
         backlog.set(self._backlog.items)
+        return gauges
 
     def _count_submit(self, kind: Optional[RequestKind]) -> None:
         """``requests_submitted`` and ``requests.<kind>``, rejected
@@ -415,7 +473,53 @@ class CryptoPimService:
 
     async def submit(self,
                      request: ServeRequest) -> Union[ServeResult, Rejection]:
-        """Serve one request; resolves to a ServeResult or a Rejection."""
+        """Serve one request; resolves to a ServeResult or a Rejection.
+
+        An untraced request whose key has a route takes it; any other
+        request takes :meth:`_submit_cold`.  Both refuse in the same
+        order, with the same details: shutdown, key, payload, admission.
+        """
+        # a float degree equals an int key, so only an int looks one up
+        n = request.n
+        try:
+            route = (self._routes.get((request.kind, n)) if type(n) is int
+                     else None)
+        except TypeError:  # an unhashable kind has no route
+            route = None
+        if route is None:
+            return await self._submit_cold(request)
+        for counter in route.counters:
+            counter.inc()
+        if not self._running:
+            rejection: Optional[Rejection] = _refusal(
+                request, RejectReason.SHUTDOWN, "service is draining")
+        else:
+            try:
+                payload = route.check(request.payload)
+            except (TypeError, ValueError):
+                rejection = _refusal(request, RejectReason.INVALID,
+                                     route.invalid)
+            else:
+                queue = route.queue
+                rejection = self._admission.admit(request, queue.qsize())
+                if rejection is None:
+                    loop = asyncio.get_running_loop()
+                    pending = _Pending(request, payload, loop.time(),
+                                       loop.create_future())
+                    queue.put_nowait(
+                        (request.priority, request.request_id, pending))
+                    depth, backlog = route.gauges
+                    depth.set(queue.qsize())
+                    backlog.set(self._backlog.items)
+                    return await pending.future
+        self._count_rejected(rejection.reason)
+        return rejection
+
+    async def _submit_cold(
+            self, request: ServeRequest) -> Union[ServeResult, Rejection]:
+        """The full submit path: every traced request, and an untraced
+        one whose key has no route yet.  An untraced request it admits
+        builds its key's route."""
         kind = request.kind if isinstance(request.kind, RequestKind) else None
         self._count_submit(kind)
         loop = asyncio.get_running_loop()
@@ -441,13 +545,15 @@ class CryptoPimService:
             enqueued_at = loop.time()
             admit_span.finish(end_s=enqueued_at)
         if rejection is None:
-            pending = _Pending(request=request, payload=payload,
-                               enqueued_at=enqueued_at,
-                               future=loop.create_future(), trace=trace)
+            pending = _Pending(request, payload, enqueued_at,
+                               loop.create_future(), trace)
             # priority first, then arrival order within a priority class
             state.queue.put_nowait(
                 (request.priority, request.request_id, pending))
-            self._depth_gauge(state)
+            gauges = self._depth_gauge(state)
+            if not self.tracer.enabled and state.key not in self._routes:
+                self._routes[state.key] = _Route(
+                    state, self._kind_counters[kind], gauges)
             return await pending.future
         self._count_rejected(rejection.reason)
         trace.set(rejected=rejection.reason.value).finish(end_s=loop.time())
@@ -531,15 +637,17 @@ class CryptoPimService:
         kind, n = state.key
         size = len(pendings)
         cycles = timing.completion_cycles
-        # a member completes with the last of its own multiplications
+        enqueued = [pending.enqueued_at for pending in pendings]
+        waits = [close_time - stamp for stamp in enqueued]
+        totals = [done_time - stamp for stamp in enqueued]
+        # a member completes with the last of its own multiplications;
+        # positional, in ServeResult's field order
         results = [
-            ServeResult(
-                request_id=pending.request.request_id, kind=kind, n=n,
-                value=value, queue_wait_s=close_time - pending.enqueued_at,
-                service_s=service_s, total_s=done_time - pending.enqueued_at,
-                batch_size=size, completion_cycle=cycles[end - 1], chip=chip)
-            for pending, value, end in zip(pendings, values,
-                                           itertools.accumulate(mults))]
+            ServeResult(pending.request.request_id, kind, n, value, wait,
+                        service_s, total, size, cycles[end - 1], chip)
+            for pending, value, wait, total, end in zip(
+                pendings, values, waits, totals,
+                itertools.accumulate(mults))]
         meters = state.meters
         if meters is None:
             meters = state.meters = _BatchMeters(self.metrics, kind)
@@ -552,10 +660,8 @@ class CryptoPimService:
         meters.size.record(size)
         meters.occupancy.record(size / state.window.capacity)
         meters.completed.inc(size)
-        totals = [result.total_s for result in results]
         meters.e2e.record_many(totals)
-        meters.queue_wait.record_many(
-            [result.queue_wait_s for result in results])
+        meters.queue_wait.record_many(waits)
         meters.service.record_many([service_s] * size)
         meters.kind_e2e.record_many(totals)
         return results

@@ -10,11 +10,19 @@ from repro.arch.chip import MAX_NATIVE_DEGREE, CryptoPimChip
 from repro.core.accelerator import CryptoPIM
 from repro.core.controller import (
     compile_multiplication,
+    completion_offsets,
     pipelined_completion_cycles,
 )
 from repro.core.config import PipelineVariant
 from repro.core.pipeline import PipelineModel
-from repro.core.scheduler import ChipScheduler, ChipTimeline, MultiplicationJob
+from repro.core.scheduler import (
+    RECONFIGURATION_CYCLES,
+    BatchTiming,
+    ChipScheduler,
+    ChipTimeline,
+    MultiplicationJob,
+    chip_completion_cycles,
+)
 from repro.core.stages import CostPolicy, StageBlock
 
 
@@ -185,6 +193,63 @@ class TestPricedOnce:
             timeline.span_estimate(n)
         assert built == {256: 1, 1024: 1}
         assert timeline.chip.configure(256) is CryptoPimChip().configure(256)
+
+    @pytest.mark.parametrize("n", (256, 1024, 32768, 65536))
+    def test_dispatch_matches_the_unmemoised_law(self, n):
+        """Every dispatch, first or repeated, after a reconfiguration or
+        not, equals a timing built from the law's formula directly."""
+        timeline = ChipTimeline()
+        config = timeline.chip.configure(n)
+        model = PipelineModel.for_degree(min(n, MAX_NATIVE_DEGREE))
+        superbanks = config.superbanks
+        segments = config.segments_per_polynomial
+        for count in (1, 13, 64, 78, 384, 13, 1):
+            for degree in (n, 512):  # the second one rewires the chip
+                reconfig = (0 if timeline.configured_n in (None, degree)
+                            else RECONFIGURATION_CYCLES)
+                start = timeline.clock_cycles + reconfig
+                timing = timeline.dispatch(degree, count)
+                if degree != n:
+                    continue
+                expected = BatchTiming(
+                    n=n, count=count, superbanks=superbanks,
+                    start_cycle=start, reconfiguration_cycles=reconfig,
+                    completion_cycles=[
+                        start + (model.depth + (i // superbanks + 1)
+                                 * segments - 1) * model.stage_cycles
+                        for i in range(count)],
+                    seq=timeline.batches)
+                assert timing == expected
+
+    def test_returned_cycle_lists_are_fresh(self):
+        """The memoised offsets are an immutable tuple: mutating a list a
+        caller got back changes nothing a later call returns."""
+        model = PipelineModel.for_degree(256)
+        config = CryptoPimChip().configure(256)
+        offsets = completion_offsets(model, 13)
+        assert isinstance(offsets, tuple)
+        assert completion_offsets(model, 13) is offsets
+        law = pipelined_completion_cycles(model, 13)
+        chip_law = chip_completion_cycles(config, 13)
+        dispatched = ChipTimeline().dispatch(256, 13).completion_cycles
+        for returned in (law, chip_law, dispatched):
+            returned[0] = -1
+            returned.append(-2)
+        assert pipelined_completion_cycles(model, 13) == list(offsets)
+        assert chip_completion_cycles(config, 13) == list(
+            completion_offsets(model, 13, config.superbanks))
+        assert (ChipTimeline().dispatch(256, 13).completion_cycles
+                == chip_completion_cycles(config, 13))
+
+        acc = CryptoPIM.for_degree(256)
+        rng = np.random.default_rng(3)
+        pairs = [(rng.integers(0, acc.q, 256), rng.integers(0, acc.q, 256))
+                 for _ in range(4)]
+        batch = acc.multiply_batch(pairs)
+        expected = list(completion_offsets(acc.model, 4))
+        assert batch.completion_cycles == expected
+        batch.completion_cycles.clear()
+        assert acc.multiply_batch(pairs).completion_cycles == expected
 
     def test_policy_cannot_be_reassigned(self):
         model = PipelineModel.for_degree(256)

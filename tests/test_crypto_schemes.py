@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.accelerator import CryptoPIM
+from repro.crypto.bfv import BfvScheme
 from repro.crypto.bgv import BgvScheme
 from repro.crypto.kyber import KyberKem, KyberPke
 from repro.crypto.newhope import KEY_BITS, NewHopeKem
@@ -359,6 +360,13 @@ class TestBgv:
             BgvScheme(n=2048, t=1)
         with pytest.raises(ValueError):
             BgvScheme(n=2048, relin_base=1)
+
+    @pytest.mark.parametrize("scheme", [BgvScheme, BfvScheme])
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_relin_base_below_two_is_refused(self, scheme, base):
+        # BFV once reached log(q) / log(base) and died dividing by zero
+        with pytest.raises(ValueError, match="relinearization base"):
+            scheme(n=2048, relin_base=base)
 
     def test_plaintext_shape_validation(self):
         bgv = BgvScheme(n=2048, rng=_rng(52))

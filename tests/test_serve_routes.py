@@ -1,0 +1,242 @@
+"""Warm routes: once a (kind, n) key has admitted a request, an untraced
+submit takes the key's route, and it refuses exactly what the full path
+refuses, with the same reason and detail, no later."""
+
+import asyncio
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.ntt.transform import NttEngine
+from repro.pim.device import PAPER_DEVICE
+from repro.serve import (
+    CryptoPimService,
+    RejectReason,
+    RequestKind,
+    ServeRequest,
+    ServeResult,
+    ServiceConfig,
+)
+
+
+def _vector(rng, n=256):
+    return rng.integers(0, NttEngine.for_degree(n).q, n).astype(np.uint64)
+
+
+def _good(kind, rng, n=256):
+    if kind is RequestKind.POLYMUL:
+        return ServeRequest(kind, n, (_vector(rng, n), _vector(rng, n)))
+    return ServeRequest(kind, n, _vector(rng, n))
+
+
+def _run(scenario):
+    async def main():
+        config = ServiceConfig(max_batch_wait_s=0)
+        async with CryptoPimService(config) as service:
+            return await asyncio.wait_for(scenario(service), timeout=20)
+
+    return asyncio.run(main())
+
+
+def _count_cold(service, monkeypatch):
+    """Count the submits that take the full path."""
+    calls = []
+    cold = service._submit_cold
+
+    async def counting(request):
+        calls.append(request.request_id)
+        return await cold(request)
+
+    monkeypatch.setattr(service, "_submit_cold", counting)
+    return calls
+
+
+class TestRoutes:
+    def test_first_admission_builds_the_route(self, monkeypatch):
+        rng = np.random.default_rng(1)
+
+        async def scenario(service):
+            cold = _count_cold(service, monkeypatch)
+            first = await service.submit(_good(RequestKind.POLYMUL, rng))
+            assert (RequestKind.POLYMUL, 256) in service._routes
+            rest = await asyncio.gather(*(
+                service.submit(_good(RequestKind.POLYMUL, rng))
+                for _ in range(5)))
+            return [first] + rest, cold
+
+        results, cold = _run(scenario)
+        assert all(r.ok for r in results)
+        assert cold == [results[0].request_id]
+
+    def test_submit_after_stop_is_refused(self):
+        rng = np.random.default_rng(2)
+
+        async def main():
+            service = CryptoPimService(ServiceConfig(max_batch_wait_s=0))
+            first = await service.submit(_good(RequestKind.NTT_FORWARD, rng))
+            await service.stop()
+            late = await asyncio.wait_for(service.submit(
+                _good(RequestKind.NTT_FORWARD, rng)), timeout=10)
+            return service, first, late
+
+        service, first, late = asyncio.run(main())
+        assert (RequestKind.NTT_FORWARD, 256) in service._routes
+        assert first.ok
+        assert late.reason == RejectReason.SHUTDOWN
+        assert late.detail == "service is draining"
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["requests.ntt_forward"] == 2
+        assert counters["rejected.shutdown"] == 1
+
+    @pytest.mark.parametrize("kind, malformed", [
+        (RequestKind.POLYMUL, ([1.5] * 256, [1] * 256)),
+        (RequestKind.POLYMUL, np.zeros(256, dtype=np.uint64)),
+        (RequestKind.NTT_FORWARD, np.full(256, -1)),
+        (RequestKind.NTT_INVERSE, np.zeros(255, dtype=np.uint64)),
+    ])
+    def test_malformed_payload_is_refused_alone(self, kind, malformed):
+        """Refused on the cold path and on the warm one with the same
+        detail, while its window siblings are served together."""
+        rng = np.random.default_rng(3)
+
+        async def scenario(service):
+            cold = await service.submit(ServeRequest(kind, 256, malformed))
+            assert (kind, 256) not in service._routes
+            await service.submit(_good(kind, rng))
+            assert (kind, 256) in service._routes
+            window = [_good(kind, rng) for _ in range(3)]
+            window.insert(1, ServeRequest(kind, 256, malformed))
+            return cold, await asyncio.gather(
+                *(service.submit(r) for r in window))
+
+        cold, results = _run(scenario)
+        warm = results[1]
+        assert cold.reason == warm.reason == RejectReason.INVALID
+        assert warm.detail == cold.detail
+        siblings = [results[0], results[2], results[3]]
+        assert all(r.ok for r in siblings)
+        assert all(r.batch_size == 3 for r in siblings)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("bogus", 256),
+        (RequestKind.POLYMUL, 1000),
+        (RequestKind.POLYMUL, 65536),
+        (RequestKind.KYBER_ENCAPS, 512),
+        ([RequestKind.POLYMUL], 256),
+        (RequestKind.POLYMUL, 256.0),  # equals the warm (POLYMUL, 256) key
+        (RequestKind.NTT_FORWARD, None),
+    ])
+    def test_unsupported_key_is_refused_the_same_every_time(self, kind, n):
+        rng = np.random.default_rng(4)
+
+        async def scenario(service):
+            await service.submit(_good(RequestKind.POLYMUL, rng))
+            return [await service.submit(ServeRequest(kind, n))
+                    for _ in range(3)], dict(service._routes)
+
+        refusals, routes = _run(scenario)
+        assert {r.reason for r in refusals} == {RejectReason.UNSUPPORTED}
+        assert len({r.detail for r in refusals}) == 1
+        assert list(routes) == [(RequestKind.POLYMUL, 256)]
+
+    def test_numpy_integer_degree_is_served(self):
+        rng = np.random.default_rng(7)
+
+        async def scenario(service):
+            first = await service.submit(_good(RequestKind.NTT_FORWARD, rng))
+            request = _good(RequestKind.NTT_FORWARD, rng)
+            request.n = np.int64(256)
+            return first, await service.submit(request)
+
+        first, second = _run(scenario)
+        assert first.ok and second.ok
+        assert second.batch_size == 1
+
+    def test_bad_decaps_payload_is_refused_at_submit(self):
+        async def scenario(service):
+            kem, pk, _ = service.kyber()
+            ct, key = kem.encapsulate(pk)
+            good = await service.submit(ServeRequest(
+                RequestKind.KYBER_DECAPS, 256, ct))
+            before = service.fleet.snapshot()["batches"]
+            bad = await service.submit(ServeRequest(
+                RequestKind.KYBER_DECAPS, 256, "not a ciphertext"))
+            after = service.fleet.snapshot()["batches"]
+            return good, key, bad, before, after, service
+
+        good, key, bad, before, after, service = _run(scenario)
+        assert (RequestKind.KYBER_DECAPS, 256) in service._routes
+        assert good.ok and good.value == key
+        assert bad.reason == RejectReason.INVALID
+        assert bad.detail == "decaps payload must be a Kyber ciphertext"
+        assert after == before  # no window ran for it
+
+    def test_bad_he_payload_is_refused_at_submit(self):
+        rng = np.random.default_rng(5)
+
+        async def scenario(service):
+            scheme, sk = service.bgv(1024)
+            x = scheme.encrypt(sk, rng.integers(0, scheme.t, 1024))
+            good = await service.submit(ServeRequest(
+                RequestKind.BGV_ADD, 1024, (x, x)))
+            before = service.fleet.snapshot()["batches"]
+            bad = await asyncio.gather(*(service.submit(ServeRequest(
+                RequestKind.BGV_ADD, 1024, payload)) for payload in (
+                    (x, replace(x, parts=[])), (x,), (x, x, x))))
+            after = service.fleet.snapshot()["batches"]
+            return good, bad, before, after, service
+
+        good, bad, before, after, service = _run(scenario)
+        assert (RequestKind.BGV_ADD, 1024) in service._routes
+        assert good.ok
+        assert {r.reason for r in bad} == {RejectReason.INVALID}
+        assert after == before
+
+    def test_traced_service_builds_no_route(self):
+        rng = np.random.default_rng(6)
+
+        async def main():
+            config = ServiceConfig(tracing=True, max_batch_wait_s=0)
+            async with CryptoPimService(config) as service:
+                results = [await service.submit(_good(RequestKind.POLYMUL,
+                                                      rng))
+                           for _ in range(3)]
+            return service, results
+
+        service, results = asyncio.run(main())
+        assert all(r.ok for r in results)
+        assert service._routes == {}
+        assert len(service.journal.traces()) == 3
+
+
+class TestServeResult:
+    def _result(self, **changes):
+        fields = dict(request_id=7, kind=RequestKind.POLYMUL, n=256,
+                      value=(1, 2), queue_wait_s=0.25, service_s=0.5,
+                      total_s=1.0, batch_size=3, completion_cycle=1200,
+                      chip=1)
+        fields.update(changes)
+        return ServeResult(**fields)
+
+    def test_fields_cannot_be_assigned(self):
+        result = self._result()
+        for name in ("request_id", "value", "total_s", "chip"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0)
+        with pytest.raises(AttributeError):
+            result.extra = 1  # no instance dict either
+
+    def test_equal_by_value(self):
+        assert self._result() == self._result()
+        assert self._result() != self._result(completion_cycle=1201)
+        assert self._result(chip=0) == ServeResult(
+            7, RequestKind.POLYMUL, 256, (1, 2), 0.25, 0.5, 1.0, 3, 1200)
+
+    def test_readable_repr_and_properties(self):
+        result = self._result()
+        text = repr(result)
+        assert text.startswith("ServeResult(request_id=7, ")
+        assert "completion_cycle=1200" in text
+        assert result.ok
+        assert result.completion_us == PAPER_DEVICE.cycles_to_us(1200)
