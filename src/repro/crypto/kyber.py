@@ -38,6 +38,13 @@ def _ntt_domain(block: np.ndarray, params: NttParams) -> np.ndarray:
     return NttEngine.shared(params).to_ntt_many(rows).reshape(block.shape)
 
 
+def _reduce_once(x: np.ndarray, q: int) -> np.ndarray:
+    """``x mod q`` for ``uint64`` values below ``2q``, in place: a
+    conditional subtract (``x - q`` wraps above ``x`` where ``x < q``),
+    several times cheaper than ``uint64 %``."""
+    return np.minimum(x, x - np.uint64(q), out=x)
+
+
 @dataclass(frozen=True)
 class KyberPublicKey:
     seed_matrix: List[List[Polynomial]]  # the public matrix A (k x k)
@@ -134,10 +141,9 @@ class KyberPke:
         """``out[c, i] = sum_j key.block[i, j] * operands[c, j] mod q`` for
         a key's ``(rows, k, n)`` block and a ``(count, k, n)`` block.
 
-        The one dispatch rule: a backend with ``to_ntt_many`` (the default
-        :class:`NttEngine`) transforms each operand once, multiplies and
-        sums against the key's cached ``hat`` in the NTT domain, and
-        transforms each output row back - ``2k + 1`` transforms per
+        The one dispatch rule: a backend with ``dot_many`` (the default
+        :class:`NttEngine`) sums the products against the key's cached
+        ``hat`` in one float-resident call - ``2k + 1`` transforms per
         encryption and ``k + 1`` per decryption instead of three per
         product.  Any other backend (CryptoPIM, the segmented and dataflow
         models) multiplies every pair in one :func:`multiply_rows` call,
@@ -146,15 +152,11 @@ class KyberPke:
         count, k, n = operands.shape
         rows = key.block.shape[0]
         backend = self._backend()
-        if hasattr(backend, "to_ntt_many"):
-            hat = backend.to_ntt_many(operands.reshape(-1, n))
-            sums = backend.pointwise_sum(key.hat,
-                                         hat.reshape(count, 1, k, n))
-            return backend.from_ntt_many(sums.reshape(-1, n)).reshape(
-                count, rows, n)
+        if hasattr(backend, "dot_many"):
+            return backend.dot_many(key.hat, operands)
         pairs = np.broadcast_to(operands[:, None], (count, rows, k, n))
-        products = self._products(key.block.reshape(-1, n),
-                                  pairs.reshape(count, -1, n))
+        products = self._products(key.block.reshape(rows * k, n),
+                                  pairs.reshape(count, rows * k, n))
         return products.reshape(count, rows, k, n).sum(axis=2) % self.params.q
 
     def _polys(self, block: np.ndarray) -> List[Polynomial]:
@@ -205,9 +207,9 @@ class KyberPke:
         noise = self._noise(count, 2 * k + 1)
         r, e1, e2 = noise[:, :k], noise[:, k:2 * k], noise[:, 2 * k]
         rows = self._dot(pk, r)                   # A^T r, then t . r
-        u = (rows[:, :k] + e1) % q
-        v = (rows[:, k] + e2
-             + block.astype(np.uint64) * np.uint64(q // 2)) % q
+        u = _reduce_once(rows[:, :k] + e1, q)
+        v = _reduce_once(_reduce_once(rows[:, k] + e2, q)
+                         + block.astype(np.uint64) * np.uint64(q // 2), q)
         # u and v are reduced already: each polynomial adopts a copy of its
         # row (about 7x cheaper than a second % q), so no ciphertext shares
         # or keeps alive the batch's blocks
@@ -220,15 +222,19 @@ class KyberPke:
     def decrypt_many(self, sk: KyberSecretKey,
                      cts: Sequence[KyberCiphertext]) -> List[np.ndarray]:
         """Decrypt many ciphertexts; all ``count * k`` products batched."""
+        return list(self._decrypt_block(sk, cts).astype(np.int64))
+
+    def _decrypt_block(self, sk: KyberSecretKey,
+                       cts: Sequence[KyberCiphertext]) -> np.ndarray:
+        """The ``(count, n)`` boolean message bits of ``cts``."""
+        q, n = self.params.q, self.params.n
         if not cts:
-            return []
-        q = self.params.q
+            return np.zeros((0, n), dtype=bool)
         u = np.stack([[p.coeffs for p in ct.u] for ct in cts])
         v = np.stack([ct.v.coeffs for ct in cts])
         s_u = self._dot(sk, u)[:, 0]
-        noisy = (v + np.uint64(q) - s_u) % q
-        return list((np.abs(centered_block(noisy, q)) > q // 4)
-                    .astype(np.int64))
+        noisy = _reduce_once(v + np.uint64(q) - s_u, q)
+        return np.abs(centered_block(noisy, q)) > q // 4
 
 
 class KyberKem:
@@ -246,9 +252,11 @@ class KyberKem:
         self.pke = KyberPke(k=k, eta=eta, backend=backend, rng=rng)
 
     @staticmethod
-    def _kdf(message_bits: np.ndarray) -> bytes:
-        return hashlib.sha3_256(
-            np.asarray(message_bits, dtype=np.uint8).tobytes()).digest()
+    def _kdf(bits: np.ndarray) -> List[bytes]:
+        """``H(m)`` of every row of a ``(count, n)`` block of message bits,
+        each hashed from one row of a single ``uint8`` block."""
+        block = np.ascontiguousarray(bits, dtype=np.uint8)
+        return [hashlib.sha3_256(row).digest() for row in block]
 
     def keygen(self) -> tuple[KyberPublicKey, KyberSecretKey]:
         return self.pke.keygen()
@@ -261,12 +269,11 @@ class KyberKem:
             count: int) -> List[Tuple[KyberCiphertext, bytes]]:
         """``count`` encapsulations whose ring products share one batch."""
         bits = self.pke.rng.integers(0, 2, (count, self.pke.params.n))
-        cts = self.pke.encrypt_many(pk, bits)
-        return [(ct, self._kdf(bits[i])) for i, ct in enumerate(cts)]
+        return list(zip(self.pke.encrypt_many(pk, bits), self._kdf(bits)))
 
     def decapsulate(self, sk: KyberSecretKey, ct: KyberCiphertext) -> bytes:
         return self.decapsulate_many(sk, [ct])[0]
 
     def decapsulate_many(self, sk: KyberSecretKey,
                          cts: List[KyberCiphertext]) -> List[bytes]:
-        return [self._kdf(bits) for bits in self.pke.decrypt_many(sk, cts)]
+        return self._kdf(self.pke._decrypt_block(sk, cts))

@@ -35,7 +35,7 @@ Pieces:
   in bit-reversed order on entry and natural order on exit.
 * :func:`float_schedule` - the static per-``(n, q)`` pass layout and
   reduction schedule of the float datapath, with its 2^52 bounds (the
-  NTT-domain sum's too) proved once by :func:`check_schedule`.
+  NTT-domain dot's too) proved once by :func:`check_schedule`.
 * :func:`pass_matrices` - each pass's ``r x r`` matrices, the product of
   the butterfly stages it merges, built once per engine.
 * :func:`ct_forward_float` / :func:`gs_inverse_float` - the merged
@@ -319,11 +319,13 @@ class FloatSchedule:
         reduce_operands: reduce ``(a, b)`` before the pointwise product.
         inverse: per inverse pass, in execution order: reduce the block
             before the pass.
-        sum_terms: the most products one NTT-domain sum may add.  Its
-            operands are canonical, so each product ``<= (q-1)^2 < 2^52``
-            is exact and reduces to ``|r| <= q//2 + 1``; ``sum_terms`` such
-            terms stay within 2^52 for the one reduction after the sum.
-            Every ``q < 2^26`` allows at least 2^27 terms.
+        dot_terms: the most products the NTT-domain dot adds into one
+            float sum before it reduces the sum.  A product has a canonical
+            factor (``<= q - 1``) and a reduced one (``|x| <= q//2 + 1``),
+            so it is at most ``(q-1)(q//2+1) < 2^51``; a sum reduced to
+            ``q//2 + 1`` plus ``dot_terms`` products stays within 2^52, so
+            a dot of any number of terms is exact.  Every ``q < 2^26``
+            allows at least 2.
     """
 
     q: int
@@ -331,7 +333,7 @@ class FloatSchedule:
     forward: Tuple[bool, ...]
     reduce_operands: Tuple[bool, bool]
     inverse: Tuple[bool, ...]
-    sum_terms: int
+    dot_terms: int
 
 
 def float_schedule(n: int, q: int) -> FloatSchedule:
@@ -358,10 +360,10 @@ def check_schedule(n: int, q: int, widths) -> FloatSchedule:
     stages first) for ``(n, q)``, with every reduction placed and every
     bound proved.
 
-    Inputs enter both transforms and the NTT-domain sum canonical
-    (``[0, q)``).  Raises ``ValueError`` if ``q`` is outside the float
-    datapath, the widths do not cover the ``log2(n)`` stages, or a pass or
-    product could reach 2^52 even on reduced inputs.
+    Inputs enter both transforms canonical (``[0, q)``).  Raises
+    ``ValueError`` if ``q`` is outside the float datapath, the widths do
+    not cover the ``log2(n)`` stages, or a pass or product could reach
+    2^52 even on reduced inputs.
     """
     if not 2 <= q < FLOAT_MAX_Q:
         raise ValueError(
@@ -401,13 +403,15 @@ def check_schedule(n: int, q: int, widths) -> FloatSchedule:
         raise ValueError(f"float datapath product bound {ops[0]} * "
                          f"{ops[1]} exceeds 2^52 for n = {n}, q = {q}")
     inverse, _ = run(passes, max(q - 1, red))
-    if (q - 1) * (q - 1) > _FLOAT_CAP:   # NTT-domain sum: canonical operands
-        raise ValueError(f"float datapath product bound ({q} - 1)^2 "
-                         f"exceeds 2^52")
+    # NTT-domain dot: canonical times reduced products onto a reduced sum
+    dot_terms = (_FLOAT_CAP - red) // ((q - 1) * red)
+    if dot_terms < 1:
+        raise ValueError(f"float datapath dot bound {red} + ({q} - 1) * "
+                         f"{red} exceeds 2^52")
     return FloatSchedule(q=q, passes=passes, forward=forward,
                          reduce_operands=(reduce_operands[0],
                                           reduce_operands[1]),
-                         inverse=inverse, sum_terms=_FLOAT_CAP // red)
+                         inverse=inverse, dot_terms=dot_terms)
 
 
 def pass_matrices(twiddles, n: int, schedule: FloatSchedule, *,

@@ -22,9 +22,10 @@ Implementations with identical results:
   It runs the float64 datapath of :mod:`repro.ntt.batch` for every
   ``q < 2^26`` - all the paper's moduli - as a few exact radix-``2^s``
   matrix passes per transform, folds the ``phi`` twist and ``n^-1`` into
-  the pass matrices and never gathers a row of a product.  Operands that
-  meet many times can stay in its NTT domain (``to_ntt_many``,
-  ``pointwise_sum``, ``from_ntt_many``).
+  the pass matrices and never gathers a row of a product.  An operand
+  that meets many others can stay in its NTT domain (``to_ntt_many``),
+  and ``dot_many`` sums its products with a batch in one float-resident
+  body.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cached_property, lru_cache
+from math import prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -377,11 +379,12 @@ class NttEngine:
     cores; each public call validates on the calling thread, and the row
     ranges run the private ``_*_rows`` bodies, never the public methods.
 
-    Operands that meet many times stay in the NTT domain:
-    ``to_ntt_many``, ``pointwise_sum`` and ``from_ntt_many`` are the three
-    steps of ``multiply_many`` with the forward transforms and the inverse
-    shared across products.  NTT-domain rows are canonical ``uint64``
-    residues in the kernel's native bit-reversed order.
+    Operands that meet many times stay in the NTT domain: ``to_ntt_many``
+    transforms a key once, and ``dot_many`` sums its products with a
+    batch of operands - ``multiply_many`` with the key's forward
+    transforms done beforehand and one inverse per sum instead of one per
+    product.  NTT-domain rows are canonical ``uint64`` residues in the
+    kernel's native bit-reversed order.
 
     Every method runs the gather-free float64 datapath of
     :mod:`repro.ntt.batch`, so ``q`` must be below ``FLOAT_MAX_Q = 2^26``;
@@ -499,47 +502,51 @@ class NttEngine:
         Row ``r`` of the result is ``ntt_gs`` of the phi-twisted row in
         bit-reversed order: the negacyclic forward transform of
         :meth:`multiply_many`, as canonical ``uint64`` residues.  The
-        result is row-contiguous (C order), so the broadcast products and
-        sums of :meth:`pointwise_sum` run on contiguous rows.
+        result is row-contiguous (C order), so a key's rows reshape to the
+        ``(rows, k, n)`` left operand of :meth:`dot_many` without a copy.
         """
         return self._run(self._to_ntt_rows, self._rows(values), order="C")
 
-    def from_ntt_many(self, values: np.ndarray) -> np.ndarray:
-        """Every NTT-domain row of a ``(batch, n)`` block back to
-        coefficients: the inverse of :meth:`to_ntt_many`, ``n^-1``
-        scale and phi untwist included."""
-        return self._run(self._from_ntt_rows, self._rows(values))
+    def dot_many(self, left_hat: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``out[c, i] = sum_j left[i, j] * right[c, j]``, negacyclic
+        products summed in the NTT domain, for a whole batch at once.
 
-    def pointwise_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``sum(a * b, axis=-2) mod q`` over NTT-domain operands.
+        ``left_hat`` is an NTT-domain block (rows of :meth:`to_ntt_many`)
+        of shape ``(rows, k, n)`` - one key shared by every member - or
+        ``(count, rows, k, n)``, one left operand per member; a length-1
+        ``count`` or ``k`` axis broadcasts.  ``right`` is a ``(count, k,
+        n)`` block of coefficients.  Returns the ``(count, rows, n)``
+        coefficients of the sums, canonical and row-contiguous.
 
-        ``a`` and ``b`` broadcast like numpy arrays whose last axis has
-        length ``n``; axis ``-2`` of the broadcast shape holds the terms.
-        ``from_ntt_many`` of a result row is the sum of the negacyclic
-        products of the rows it was made from.  Each product is exact and
-        reduced before the sum, which ``FloatSchedule.sum_terms`` bounds.
+        The body stays float64 in the thread's workspaces (the left's
+        float copy is its one allocation) from its entry cast to its exit
+        cast: ``count * k`` forward transforms, one
+        exact ``matmul`` against ``left`` per chunk of
+        ``FloatSchedule.dot_terms`` terms (the sum is reduced between
+        chunks, so any ``k`` is exact), and ``count * rows`` inverse
+        transforms - ``2k + 1`` per Kyber encryption where per-product
+        ``multiply_many`` would run ``3 (k^2 + k)``.
         """
-        a = np.asarray(a, dtype=np.uint64)
-        b = np.asarray(b, dtype=np.uint64)
-        if min(a.ndim, b.ndim) < 2 or a.shape[-1] != self.n \
-                or b.shape[-1] != self.n:
+        left = np.asarray(left_hat, dtype=np.uint64)
+        right = np.asarray(right, dtype=np.uint64)
+        if right.ndim != 3 or right.shape[2] != self.n \
+                or left.ndim not in (3, 4) or left.shape[-1] != self.n:
             raise ValueError(
-                f"expected (..., terms, {self.n}) operands, got shapes "
-                f"{a.shape} and {b.shape}")
+                f"expected a (rows, k, {self.n}) or (count, rows, k, "
+                f"{self.n}) left operand and a (count, k, {self.n}) right "
+                f"one, got shapes {left.shape} and {right.shape}")
+        count, k, n = right.shape
+        rows = left.shape[-3]
         try:
-            terms = np.broadcast_shapes(a.shape, b.shape)[-2]
+            left = np.broadcast_to(left, (count, rows, k, n))
         except ValueError:
-            raise ValueError(f"operand shapes {a.shape} and {b.shape} do "
-                             f"not broadcast") from None
-        if terms > self._schedule.sum_terms:
             raise ValueError(
-                f"{terms} terms exceed the float datapath's sum bound of "
-                f"{self._schedule.sum_terms} for q = {self.q}")
-        products = np.multiply(self._residues(a, np.empty(a.shape)),
-                               self._residues(b, np.empty(b.shape)))
-        reduce_float(products, float(self.q), np.empty_like(products))
-        total = products.sum(axis=-2)
-        return self._emit(self._canonical(total, np.empty_like(total)), None)
+                f"left operand {left.shape} does not broadcast against a "
+                f"right operand of {k} terms for {count} members") from None
+        if count == 0:
+            return np.empty((0, rows, n), dtype=np.uint64)
+        return self._run(self._dot_rows, right, left, order="C",
+                         shape=(count, rows, n))
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The caller's block as ``uint64``, shape-checked."""
@@ -551,7 +558,8 @@ class NttEngine:
         return arr
 
     def _run(self, body: Callable[..., np.ndarray], *blocks: np.ndarray,
-             order: str = "F") -> np.ndarray:
+             order: str = "F",
+             shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
         """``body`` over the :func:`row_slices` row ranges of ``blocks``.
 
         A whole block returns the fresh array ``body(*blocks, None)``
@@ -561,14 +569,16 @@ class NttEngine:
         calling thread runs the first range itself and the pool the rest,
         each thread in its own workspace.  Bodies never re-enter the
         public methods, so a range never re-slices (and never waits on its
-        own pool).  ``order`` is the layout of a sliced result: the one
-        ``body`` returns for a whole block.
+        own pool).  ``order`` and ``shape`` are the layout and shape of a
+        sliced result, ``(rows, n)`` by default: the ones ``body`` returns
+        for a whole block.  The slicing rule counts the result's elements.
         """
         rows = blocks[0].shape[0]
-        slices = row_slices(rows, self.n)
+        shape = shape or (rows, self.n)
+        slices = row_slices(rows, prod(shape[1:]))
         if slices == 1:
             return body(*blocks, None)
-        out = np.empty((rows, self.n), dtype=np.uint64, order=order)
+        out = np.empty(shape, dtype=np.uint64, order=order)
         bounds = [rows * i // slices for i in range(slices + 1)]
 
         def run(lo: int, hi: int) -> None:
@@ -672,11 +682,46 @@ class NttEngine:
             out = np.empty(hat.shape, dtype=np.uint64)
         return self._emit(hat, out)
 
-    def _from_ntt_rows(self, values: np.ndarray,
-                       out: Optional[np.ndarray]) -> np.ndarray:
-        w0, w1, _ = _workspace(values.shape[0], self.n)
-        return self._inverse(self._as_batch(values, w0, w1), w1,
-                             self._zeta_inv, out)
+    def _dot_rows(self, right: np.ndarray, left: np.ndarray,
+                  out: Optional[np.ndarray]) -> np.ndarray:
+        count, k, n = right.shape
+        rows = left.shape[1]
+        q = float(self.q)
+        # one (k, rows) float matrix per position t: once for a key that
+        # every member shares, else per member
+        shared = left.strides[0] == 0 or count == 1
+        if shared:
+            left = left[:1]
+        mats = self._residues(left.transpose(3, 0, 2, 1),
+                              np.empty((n, len(left), k, rows)))
+        w0, w1, _ = _workspace(count * k, n)
+        ops, free = self._forward(
+            self._as_batch(right.reshape(count * k, n), w0, w1), w1,
+            self._zeta)
+        reduce_float(ops, q, free)
+        # the free block and the third one, as (count * rows, n) blocks
+        b0, b1, sums = _workspace(count * rows, n)
+        spare = b1 if np.may_share_memory(ops, w0) else b0
+        # each position's (count, k) @ (k, rows), on the (n, batch) views
+        hat = ops.T.reshape(n, count, k)
+        acc = sums.T.reshape(n, count, rows)
+        part = spare.T.reshape(n, count, rows)
+        if shared:
+            mats = mats[:, 0]
+        else:
+            hat, acc, part = hat[:, :, None], acc[:, :, None], part[:, :, None]
+        step = self._schedule.dot_terms
+        np.matmul(hat[..., :step], mats[..., :step, :], out=acc)
+        for lo in range(step, k, step):
+            reduce_float(sums, q, spare)
+            np.matmul(hat[..., lo:lo + step], mats[..., lo:lo + step, :],
+                      out=part)
+            np.add(acc, part, out=acc)
+        if out is None:
+            out = np.empty((count, rows, n), dtype=np.uint64)
+        self._inverse(reduce_float(sums, q, spare), spare, self._zeta_inv,
+                      out.reshape(count * rows, n))
+        return out
 
     def _multiply_rows(self, a: np.ndarray, b: np.ndarray,
                        out: Optional[np.ndarray]) -> np.ndarray:

@@ -28,7 +28,7 @@ from .requests import (
     ServeRequest,
     ServeResult,
 )
-from .service import KYBER_DEGREE, CryptoPimService, ServiceConfig
+from .service import KYBER_DEGREE, KYBER_RANK, CryptoPimService, ServiceConfig
 
 __all__ = [
     "AdmissionController",
@@ -58,6 +58,7 @@ __all__ = [
     "BatchTiming",
     "ChipTimeline",
     "KYBER_DEGREE",
+    "KYBER_RANK",
     "CryptoPimService",
     "ServiceConfig",
 ]

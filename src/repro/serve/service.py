@@ -76,10 +76,14 @@ from .requests import (
     ServeResult,
 )
 
-__all__ = ["ServiceConfig", "CryptoPimService", "KYBER_DEGREE"]
+__all__ = ["ServiceConfig", "CryptoPimService", "KYBER_DEGREE",
+           "KYBER_RANK"]
 
 #: Kyber is pinned to the paper's small operating point
 KYBER_DEGREE = 256
+#: the module rank of the service's Kyber key (Kyber512): every decaps
+#: ciphertext must carry this many ``u`` polynomials
+KYBER_RANK = 2
 
 _KEM_KINDS = (RequestKind.KYBER_ENCAPS, RequestKind.KYBER_DECAPS)
 _HE_PAIR_KINDS = (RequestKind.BGV_ADD, RequestKind.BGV_MULTIPLY,
@@ -100,10 +104,9 @@ def _coefficients(values: Any, n: int) -> np.ndarray:
     return vector.astype(np.uint64, copy=False)
 
 
-def _ring_operand(x: Any, n: int, q: int) -> bool:
-    """Whether ``x`` is a ciphertext whose parts are all ring elements of
-    ``Z_q[x]/(x^n + 1)`` (and there is at least one)."""
-    parts = getattr(x, "parts", None)
+def _ring_elements(parts: Any, n: int, q: int) -> bool:
+    """Whether ``parts`` is a non-empty list or tuple of ring elements of
+    ``Z_q[x]/(x^n + 1)``."""
     return (isinstance(parts, (list, tuple)) and len(parts) > 0
             and all(isinstance(p, Polynomial) and p.n == n and p.q == q
                     for p in parts))
@@ -132,10 +135,11 @@ def _payload_check(kind: RequestKind, n: int) -> Tuple[_PayloadCheck, str]:
 
     The check returns the payload as the handlers take it, or raises
     ``TypeError``/``ValueError``.  POLYMUL and NTT operands come back as
-    length-``n`` uint64 vectors and HE operands must be ciphertexts over
-    the degree's ring, so an operand the kernel could not take is refused
-    at submit, alone, instead of failing the whole batch window it would
-    have joined.  Keys are bounded (nine kinds, fourteen degrees), so the
+    length-``n`` uint64 vectors, HE operands must be ciphertexts over
+    the degree's ring and a decaps ciphertext must hold ``KYBER_RANK``
+    ``u`` polynomials and one ``v`` over it, so an operand the kernel
+    could not take is refused at submit, alone, instead of failing the
+    whole batch window it would have joined.  Keys are bounded (nine kinds, fourteen degrees), so the
     cache is too.
     """
     if kind is RequestKind.POLYMUL:
@@ -153,14 +157,19 @@ def _payload_check(kind: RequestKind, n: int) -> Tuple[_PayloadCheck, str]:
 
         def pair(payload: Any) -> Any:
             x, y = payload
-            if not (_ring_operand(x, n, q) and _ring_operand(y, n, q)):
+            if not (_ring_elements(getattr(x, "parts", None), n, q)
+                    and _ring_elements(getattr(y, "parts", None), n, q)):
                 raise TypeError("not a pair of ring ciphertexts")
             return payload
         return pair, (f"eval payload must be a pair of ciphertexts "
                       f"over the (n={n}, q={q}) ring")
     if kind is RequestKind.KYBER_DECAPS:
+        q = params_for_degree(n).q
+
         def ciphertext(payload: Any) -> Any:
-            if not hasattr(payload, "u"):
+            u = getattr(payload, "u", None)
+            if not (_ring_elements(u, n, q) and len(u) == KYBER_RANK
+                    and _ring_elements([getattr(payload, "v", None)], n, q)):
                 raise TypeError("not a Kyber ciphertext")
             return payload
         return ciphertext, "decaps payload must be a Kyber ciphertext"
@@ -376,7 +385,8 @@ class CryptoPimService:
     def kyber(self) -> Tuple[KyberKem, Any, Any]:
         """The service KEM context ``(kem, pk, sk)`` (paper n=256 ring)."""
         if self._kyber is None:
-            kem = KyberKem(rng=np.random.default_rng(self._rng.integers(2**63)))
+            kem = KyberKem(k=KYBER_RANK, rng=np.random.default_rng(
+                self._rng.integers(2**63)))
             pk, sk = kem.keygen()
             self._kyber = (kem, pk, sk)
         return self._kyber

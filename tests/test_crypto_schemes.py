@@ -137,6 +137,10 @@ def _same_ciphertext(x, y):
     return x.u == y.u and x.v == y.v
 
 
+def _ciphertext_bytes(ct):
+    return b"".join(p.coeffs.tobytes() for p in ct.u + [ct.v])
+
+
 class TestKyberBatch:
     """Batched Kyber traffic is bit-identical to the per-message API,
     on the batched software engine and on a backend with only
@@ -160,16 +164,17 @@ class TestKyberBatch:
         bits = kem.pke.rng.integers(0, 2, (count, 256))
         for m, (ct, key) in enumerate(batch):
             assert _same_ciphertext(ct, kem.pke.encrypt(pk, bits[m]))
-            assert key == KyberKem._kdf(bits[m])
+            assert key == hashlib.sha3_256(
+                bits[m].astype(np.uint8).tobytes()).digest()
         keys = kem.decapsulate_many(sk, [ct for ct, _ in batch])
         assert keys == [key for _, key in batch]
         assert keys == [kem.decapsulate(sk, ct) for ct, _ in batch]
 
     @pytest.mark.parametrize("count", [1, 13, 64])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_engine_and_accelerator_agree(self, k, count):
-        """The engine's NTT-domain path and the accelerator's per-row
-        products give the same keys, ciphertexts and KEM keys."""
+        """The engine's NTT-domain dot and the accelerator's per-row
+        products give byte-identical keys, ciphertexts and KEM keys."""
         runs = []
         for backend in (None, CryptoPIM.for_degree(256)):
             kem = KyberKem(k=k, backend=backend, rng=_rng(30 + k))
@@ -182,6 +187,7 @@ class TestKyberBatch:
         assert sk.s == sk1.s
         for (ct, key), (ct1, key1) in zip(batch, batch1, strict=True):
             assert _same_ciphertext(ct, ct1) and key == key1
+            assert _ciphertext_bytes(ct) == _ciphertext_bytes(ct1)
         assert keys == keys1 == [key for _, key in batch]
 
     def test_key_hats_are_row_contiguous(self):
@@ -294,6 +300,14 @@ class TestKyberBatch:
         pk, sk = pke.keygen()
         assert pke.encrypt_many(pk, np.zeros((0, 256), dtype=np.int64)) == []
         assert pke.decrypt_many(sk, []) == []
+
+    def test_empty_kem_batches(self, backend):
+        kem = KyberKem(backend=backend, rng=_rng(83))
+        pk, sk = kem.keygen()
+        assert kem.encapsulate_many(pk, 0) == []
+        assert kem.decapsulate_many(sk, []) == []
+        assert kem.pke.encrypt_many(
+            pk, np.zeros((0, 256), dtype=np.int64)) == []
 
 
 class TestBgv:

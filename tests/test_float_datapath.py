@@ -332,10 +332,17 @@ class TestExtremeOperands:
         assert np.array_equal(eng.inverse_many(x), [intt(r) for r in x])
         assert np.array_equal(eng.to_ntt_many(x),
                               [ntt(r * phi % qq)[rev] for r in x])
-        assert np.array_equal(eng.from_ntt_many(x),
+        # an NTT-domain row dotted with the unit polynomial comes back
+        # untransformed; a row's own hat dotted with it is its square
+        unit = np.zeros((1, 1, n), dtype=np.uint64)
+        unit[..., 0] = 1
+        assert np.array_equal(eng.dot_many(x[:, None], unit)[0],
                               [intt(r[rev]) * phi_inv % qq for r in x])
-        assert np.array_equal(eng.multiply_many(x, x),
-                              [product(r, r) for r in x])
+        squares = [product(r, r) for r in x]
+        assert np.array_equal(eng.multiply_many(x, x), squares)
+        assert np.array_equal(
+            eng.dot_many(eng.to_ntt_many(x)[:, None, None], x[:, None])[:, 0],
+            squares)
 
 
 class TestStageEvents:

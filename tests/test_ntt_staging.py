@@ -3,7 +3,7 @@
 A row-major block of at least ``STAGE_MIN_ROWS`` rows whose row stride is a
 multiple of 4 KiB enters the kernel through a skewed row-major staging view
 (``transform._staging``) instead of one transposed cast.  These tests check
-that every public ``*_many`` method and ``pointwise_sum`` stay bit-identical
+that every public ``*_many`` method and ``dot_many`` stay bit-identical
 to the unstaged path and to the ``schoolbook_negacyclic_np`` / ``ntt_gs`` /
 ``intt_gs`` oracles, whole and sliced, around the row threshold, on
 full-width inputs that take the ``% q`` branch inside staging; and that the
@@ -21,7 +21,7 @@ from repro.ntt.naive import schoolbook_negacyclic_np
 from repro.ntt.params import params_for_degree
 from repro.ntt.transform import STAGE_MIN_ROWS, NttEngine, intt_gs, ntt_gs
 
-from .test_ntt_workspace import sliced, words  # noqa: F401 (fixture)
+from .test_ntt_workspace import from_ntt, sliced, words  # noqa: F401
 
 DEGREES = [512, 1024, 4096, 8192]
 ROWS = sorted({15, 16, 17, 64, STAGE_MIN_ROWS - 1, STAGE_MIN_ROWS,
@@ -42,13 +42,14 @@ def unstaged(fn, *args):
 
 
 def every_output(engine: NttEngine, a: np.ndarray, b: np.ndarray):
-    """One result of each public ``*_many`` method and of
-    ``pointwise_sum`` (one term per row, so any row count fits its sum
-    bound)."""
-    hat_a, hat_b = engine.to_ntt_many(a), engine.to_ntt_many(b)
+    """One result of each public ``*_many`` method, and of ``dot_many``
+    with a one-term key (row 0 of ``a``) and with per-member left
+    operands, ``b`` on the right of both."""
+    hat_a = engine.to_ntt_many(a)
     return [engine.multiply_many(a, b), engine.forward_many(a),
-            engine.inverse_many(a), hat_a, engine.from_ntt_many(b),
-            engine.pointwise_sum(hat_a[:, None], hat_b[:, None])]
+            engine.inverse_many(a), hat_a,
+            engine.dot_many(hat_a[:1, None], b[:, None])[:, 0],
+            engine.dot_many(hat_a[:, None, None], b[:, None])[:, 0]]
 
 
 @lru_cache(maxsize=None)
@@ -60,16 +61,11 @@ def oracle(n: int):
     a, b = (words(1, n, salt)[0] % np.uint64(q) for salt in (1, 2))
     rev = np.asarray(bitrev_indices(n))
     phi = params.phi_powers()
-    phi_inv = params.phi_inv_powers()
     hat_a = np.asarray(ntt_gs([int(x) * f % q for x, f in zip(a, phi)],
                               params))[rev]
-    hat_b = np.asarray(ntt_gs([int(x) * f % q for x, f in zip(b, phi)],
-                              params))[rev]
-    from_b = [x * f % q for x, f in zip(intt_gs(b[rev].tolist(), params),
-                                         phi_inv)]
     product = schoolbook_negacyclic_np(a, b, q)
     return [product, ntt_gs(a.tolist(), params), intt_gs(a.tolist(), params),
-            hat_a, from_b, hat_a * hat_b % np.uint64(q)]
+            hat_a, product, product]
 
 
 def check(engine: NttEngine, a: np.ndarray, b: np.ndarray) -> None:
@@ -127,7 +123,7 @@ class TestBitIdentical:
             for out, want in zip(got, unstaged(every_output, engine, a, b)):
                 np.testing.assert_array_equal(out, want)
             np.testing.assert_array_equal(
-                engine.from_ntt_many(engine.to_ntt_many(a)), a % q)
+                from_ntt(engine, engine.to_ntt_many(a)), a % q)
 
     @pytest.mark.parametrize("n", [512, 4096])
     def test_row_slice_of_a_wider_block(self, spy, n):
@@ -153,7 +149,7 @@ class TestRule:
             m.setattr(transform, "SLICE_MIN_ELEMENTS", 1 << 62)
             every_output(engine, a, b)
         # one entry per transform body; multiply_many has two operands
-        # and pointwise_sum none
+        # and dot_many one, its right operand
         assert len(spy) == 7
         want = rows >= STAGE_MIN_ROWS and n >= 512
         assert all(engaged == want for *_, engaged in spy)

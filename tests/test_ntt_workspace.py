@@ -85,13 +85,22 @@ def residues(rows: int, n: int, seed: int) -> np.ndarray:
                                                 dtype=np.uint64)
 
 
+def from_ntt(engine: NttEngine, hat: np.ndarray) -> np.ndarray:
+    """NTT-domain rows back to coefficients through ``dot_many``: the rows
+    are a one-term key, dotted with the unit polynomial."""
+    unit = np.zeros((1, 1, engine.n), dtype=np.uint64)
+    unit[..., 0] = 1
+    return engine.dot_many(hat[:, None], unit)[0]
+
+
 def every_output(engine: NttEngine, a: np.ndarray, b: np.ndarray):
-    """One result of each public ``*_many`` body and of ``pointwise_sum``."""
+    """One result of each public ``*_many`` body, ``dot_many`` both as the
+    inverse transform and as per-member products."""
     return [engine.multiply_many(a, b), engine.forward_many(a),
             engine.inverse_many(a), engine.to_ntt_many(a),
-            engine.from_ntt_many(b),
-            engine.pointwise_sum(engine.to_ntt_many(a)[None],
-                                 engine.to_ntt_many(b)[None])]
+            from_ntt(engine, b),
+            engine.dot_many(engine.to_ntt_many(a)[:, None, None],
+                            b[:, None])[:, 0]]
 
 
 class TestReuse:
@@ -228,7 +237,7 @@ class TestConcurrentCallers:
             out.append((f"to_ntt {n}x{rows}",
                         lambda e=engine, a=a: e.to_ntt_many(a), hat))
             out.append((f"from_ntt {n}x{rows}",
-                        lambda e=engine, h=hat: e.from_ntt_many(h), a))
+                        lambda e=engine, h=hat: from_ntt(e, h), a))
         return out
 
     def test_two_threads_hammer_one_engine_set(self):
@@ -258,7 +267,8 @@ class TestConcurrentCallers:
 
 
 #: sha256 over ``multiply_many``, ``forward_many``, ``inverse_many``,
-#: ``to_ntt_many`` and ``from_ntt_many`` of ``2^17 / n`` rows of
+#: ``to_ntt_many`` and the inverse NTT-domain transform (a ``dot_many``
+#: with the unit polynomial, see :func:`from_ntt`) of ``2^17 / n`` rows of
 #: :func:`words`, as computed by the allocating kernel before workspaces
 PINNED = {
     256: "0c6f31221a45f9ad7d7f730c600f8cc56e8a4def0018ab5b4d8bcf54b2adbd73",
@@ -279,7 +289,7 @@ def digest(n: int) -> str:
     h = hashlib.sha256()
     for out in (engine.multiply_many(a, b), engine.forward_many(a),
                 engine.inverse_many(a), engine.to_ntt_many(a),
-                engine.from_ntt_many(b)):
+                from_ntt(engine, b)):
         h.update(np.ascontiguousarray(out, dtype=np.uint64).tobytes())
     return h.hexdigest()
 

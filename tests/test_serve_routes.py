@@ -8,9 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.crypto.kyber import KyberCiphertext
+from repro.ntt.params import params_for_degree
+from repro.ntt.polynomial import Polynomial
 from repro.ntt.transform import NttEngine
 from repro.pim.device import PAPER_DEVICE
 from repro.serve import (
+    KYBER_DEGREE,
+    KYBER_RANK,
     CryptoPimService,
     RejectReason,
     RequestKind,
@@ -171,6 +176,63 @@ class TestRoutes:
         assert bad.reason == RejectReason.INVALID
         assert bad.detail == "decaps payload must be a Kyber ciphertext"
         assert after == before  # no window ran for it
+
+    @pytest.mark.parametrize("malform", [
+        "rank_one", "rank_three", "u_outside_ring", "v_outside_ring",
+        "v_missing", "u_not_a_list"])
+    def test_malformed_decaps_ciphertext_is_refused_alone(self, malform):
+        """A ciphertext of the wrong rank or outside the Kyber ring is
+        refused at submit on the cold and the warm route, while its
+        window siblings decapsulate together."""
+        wide = params_for_degree(2 * KYBER_DEGREE)
+
+        def bad(ct):
+            u, v = list(ct.u), ct.v
+            if malform == "rank_one":
+                u = u[:1]
+            elif malform == "rank_three":
+                u = u + u[:1]
+            elif malform == "u_outside_ring":
+                u[1] = Polynomial(np.zeros(wide.n, dtype=np.uint64), wide)
+            elif malform == "v_outside_ring":
+                v = Polynomial(np.zeros(wide.n, dtype=np.uint64), wide)
+            elif malform == "v_missing":
+                v = None
+            else:
+                u = u[0]
+            return KyberCiphertext(u=u, v=v)
+
+        async def scenario(service):
+            kem, pk, _ = service.kyber()
+            key = (RequestKind.KYBER_DECAPS, KYBER_DEGREE)
+            pairs = kem.encapsulate_many(pk, 4)
+            cold = await service.submit(ServeRequest(
+                *key, bad(pairs[0][0])))
+            assert key not in service._routes
+            first = await service.submit(ServeRequest(*key, pairs[0][0]))
+            assert key in service._routes
+            window = [ServeRequest(*key, ct) for ct, _ in pairs[1:]]
+            window.insert(1, ServeRequest(*key, bad(pairs[1][0])))
+            results = await asyncio.gather(
+                *(service.submit(r) for r in window))
+            return cold, first, results, [key for _, key in pairs]
+
+        cold, first, results, keys = _run(scenario)
+        warm = results[1]
+        assert cold.reason == warm.reason == RejectReason.INVALID
+        assert warm.detail == cold.detail == \
+            "decaps payload must be a Kyber ciphertext"
+        assert first.ok and first.value == keys[0]
+        siblings = [results[0], results[2], results[3]]
+        assert [r.value for r in siblings] == keys[1:]
+        assert all(r.batch_size == 3 for r in siblings)
+
+    def test_service_key_has_the_service_rank(self):
+        async def scenario(service):
+            kem, pk, sk = service.kyber()
+            return kem.pke.k, len(pk.t), len(sk.s)
+
+        assert _run(scenario) == (KYBER_RANK,) * 3
 
     def test_bad_he_payload_is_refused_at_submit(self):
         rng = np.random.default_rng(5)
