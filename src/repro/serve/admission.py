@@ -2,7 +2,7 @@
 
 Three gates run in order before a request is ever enqueued:
 
-1. **validation** - unsupported kind/degree or malformed payloads are
+1. **validation** - unsupported kind/degree or malformed payloads,
    refused outright (``UNSUPPORTED`` / ``INVALID``);
 2. **backpressure** - a full per-parameter-set queue refuses everything
    (``QUEUE_FULL``), and once the queue crosses its shed watermark,
@@ -127,10 +127,11 @@ class AdmissionController:
         queue depth seen and the gate that fired, so traces answer *why*
         a request was refused, not just that it was.
         """
-        if span.enabled:
+        traced = span.enabled
+        if traced:
             span.set(queue_size=queue_size)
         if queue_size >= self.policy.queue_depth:
-            if span.enabled:
+            if traced:
                 span.set(outcome=RejectReason.QUEUE_FULL.value)
             return Rejection(
                 request_id=request.request_id, kind=request.kind,
@@ -140,7 +141,7 @@ class AdmissionController:
         watermark = self.policy.shed_watermark * self.policy.queue_depth
         if (queue_size >= watermark
                 and request.priority >= self.policy.shed_priority_floor):
-            if span.enabled:
+            if traced:
                 span.set(outcome=RejectReason.OVERLOAD_SHED.value)
             return Rejection(
                 request_id=request.request_id, kind=request.kind,
@@ -150,7 +151,7 @@ class AdmissionController:
             )
         bucket = self._bucket(request.tenant)
         if bucket is not None and not bucket.try_take():
-            if span.enabled:
+            if traced:
                 span.set(outcome=RejectReason.RATE_LIMITED.value)
             return Rejection(
                 request_id=request.request_id, kind=request.kind,
@@ -158,6 +159,6 @@ class AdmissionController:
                 detail=f"tenant {request.tenant!r} exceeded "
                        f"{self.policy.tenant_rate:g} req/s",
             )
-        if span.enabled:
+        if traced:
             span.set(outcome="admitted")
         return None

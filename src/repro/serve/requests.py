@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, NamedTuple
+from typing import Any, NamedTuple
 
 from ..pim.device import PAPER_DEVICE
 
@@ -65,9 +65,10 @@ class ServeRequest:
             Kyber, which is pinned to the paper's n=256 operating point).
         payload: operand(s); shape depends on ``kind`` (see the handler
             table in :mod:`repro.serve.service`).
-        tenant: client identity used for per-tenant rate limiting.
-        priority: 0 is most urgent; under overload, requests with
-            priority >= the service's shed floor are dropped first.
+        tenant: client identity (a string) used for per-tenant rate
+            limiting.
+        priority: an integer, 0 is most urgent; under overload, requests
+            with priority >= the service's shed floor are dropped first.
     """
 
     kind: RequestKind
@@ -92,7 +93,7 @@ class ServeResult(NamedTuple):
     n: int
     value: Any
     queue_wait_s: float       # enqueue -> batch close (wall clock)
-    service_s: float          # batch close -> result ready (wall clock)
+    service_s: float          # the batch's execute interval (wall clock)
     total_s: float            # enqueue -> result ready (wall clock)
     batch_size: int           # occupancy of the batch this request rode in
     completion_cycle: int     # simulated chip cycle the result came back
@@ -121,12 +122,3 @@ class Rejection:
     @property
     def ok(self) -> bool:
         return False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "request_id": self.request_id,
-            "kind": self.kind.value,
-            "n": self.n,
-            "reason": self.reason.value,
-            "detail": self.detail,
-        }

@@ -34,17 +34,18 @@ chip's parallel superbanks - including reconfiguration penalties when
 consecutive batches switch degree.  Degrees above 32k, which the chip
 would stream as back-to-back 32k segments, are refused at admission.
 
-Submit pays per route: the first request a ``(kind, n)`` key admits
-builds the key's route record (queue, counters, depth gauges, payload
-check), and a later untraced request of that key skips the key check
-and every handle lookup.  Traced requests take the full path.
+Submit pays per key: the first request of a ``(kind, n)`` key that
+passes the key and payload checks builds the key's record (queue, drain
+task, submit counters, payload check, depth gauges), and every later
+request of that key, traced or not, skips the key check and every
+handle lookup.  Tracing only adds the request's spans.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
@@ -250,31 +251,38 @@ class _Pending:
 
 
 class _Backlog:
-    """The running count of requests queued across all of a service's
-    queues: what ``sum(qsize())`` over them would read, kept in O(1)."""
+    """Running counts across all of a service's queues, each kept in
+    O(1): ``items`` queued (what ``sum(qsize())`` over them would read)
+    and ``unresolved``, the requests admitted and not yet resolved
+    (queued, in an open batch window or executing)."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "unresolved")
 
     def __init__(self) -> None:
         self.items = 0
+        self.unresolved = 0
 
 
 class _CountedQueue(asyncio.PriorityQueue):
     """A priority queue that keeps its service's :class:`_Backlog` as
     items go in and out, whichever path (submit, a batch window, stop)
-    moves them."""
+    moves them.  It pushes and pops the base class's heap itself, one
+    call per move instead of two."""
+
+    _queue: List[Any]  # the heap asyncio.PriorityQueue keeps
 
     def __init__(self, backlog: _Backlog):
         super().__init__()
         self._backlog = backlog
 
     def _put(self, item: Any) -> None:
-        super()._put(item)
+        heapq.heappush(self._queue, item)
         self._backlog.items += 1
+        self._backlog.unresolved += 1
 
     def _get(self) -> Any:
         self._backlog.items -= 1
-        return super()._get()
+        return heapq.heappop(self._queue)
 
 
 class _BatchMeters:
@@ -297,33 +305,21 @@ class _BatchMeters:
 
 @dataclass
 class _QueueState:
-    """One per-(kind, degree) priority queue and its drain task, with its
-    metric handles (resolved on first use, so the registry only ever
-    holds instruments that have seen an event)."""
+    """One served ``(kind, degree)`` key: its priority queue and drain
+    task, its submit counters, its payload check with the ``INVALID``
+    detail, and its metric handles.  The key check passed when the
+    record was built, so a later request of the key pays one dict lookup
+    for all of it.  Gauges and meters resolve on first use, so the
+    registry only ever holds instruments that have seen an event."""
 
     key: Tuple[RequestKind, int]
     queue: _CountedQueue
     window: BatchWindow
+    counters: Tuple[Counter, ...]
+    payload_check: Tuple[_PayloadCheck, str]
     worker: Optional["asyncio.Task"] = field(repr=False, default=None)
     gauges: Optional[Tuple[Gauge, Gauge]] = field(repr=False, default=None)
     meters: Optional[_BatchMeters] = field(repr=False, default=None)
-
-
-class _Route:
-    """What an untraced submit of one served ``(kind, n)`` key needs,
-    resolved once, when the key's first request is admitted: its queue
-    state, its submit counters, its payload check with the ``INVALID``
-    detail, and its depth gauges.  The key check passed when the route
-    was built, so a warm submit pays one dict lookup for all of it."""
-
-    __slots__ = ("queue", "counters", "check", "invalid", "gauges")
-
-    def __init__(self, state: _QueueState, counters: Tuple[Counter, ...],
-                 gauges: Tuple[Gauge, Gauge]):
-        self.queue = state.queue
-        self.counters = counters
-        self.check, self.invalid = _payload_check(*state.key)
-        self.gauges = gauges
 
 
 def _refusal(request: ServeRequest, reason: RejectReason,
@@ -354,10 +350,12 @@ class CryptoPimService:
         self.fleet = ChipFleet(num_chips=config.num_chips, chip=chip,
                                policy=config.routing, seed=config.seed)
         self._admission = AdmissionController(config.admission_policy())
+        # the record of each served key, built by its first checked request
         self._queues: Dict[Tuple[RequestKind, int], _QueueState] = {}
-        # the untraced submit path of each key that has admitted a request
-        self._routes: Dict[Tuple[RequestKind, int], _Route] = {}
         self._backlog = _Backlog()
+        # the heap's tie-break within a priority class: arrival order, so
+        # no two entries ever compare their requests
+        self._arrivals = itertools.count()
         # counter handles per request kind and per rejection reason, and
         # per-chip dispatch counters, each resolved on first use
         self._kind_counters: Dict[Optional[RequestKind],
@@ -406,57 +404,36 @@ class CryptoPimService:
             self._bfv[n] = (scheme, scheme.keygen())
         return self._bfv[n]
 
-    # -- admission -----------------------------------------------------------
-
-    def _validate(self, request: ServeRequest,
-                  ) -> Tuple[Any, Optional[Rejection]]:
-        """``(payload, None)`` for a servable request, else ``(None,
-        rejection)``: the shutdown check, the key check, then the key's
-        payload check (the one a route runs)."""
-        if not self._running:
-            return None, _refusal(request, RejectReason.SHUTDOWN,
-                                  "service is draining")
-        detail = _unsupported(request.kind, request.n)
-        if detail is not None:
-            return None, _refusal(request, RejectReason.UNSUPPORTED, detail)
-        check, invalid = _payload_check(request.kind, request.n)
-        try:
-            return check(request.payload), None
-        except (TypeError, ValueError):
-            return None, _refusal(request, RejectReason.INVALID, invalid)
-
-    # -- queue plumbing -------------------------------------------------------
+    # -- the per-key record ---------------------------------------------------
 
     def _queue_state(self, request: ServeRequest) -> _QueueState:
-        key = (request.kind, request.n)
+        """The record of a servable request's key, built (with its queue
+        and drain task) the first time one of the key's requests passes
+        the key and payload checks."""
+        kind, n = key = (request.kind, int(request.n))
         state = self._queues.get(key)
         if state is None:
-            capacity = (self.config.batch_capacity
-                        or self.fleet.capacity_for(request.n))
+            capacity = self.config.batch_capacity or self.fleet.capacity_for(n)
             state = _QueueState(
                 key=key,
                 queue=_CountedQueue(self._backlog),
                 window=BatchWindow(capacity=capacity,
                                    max_wait_s=self.config.max_batch_wait_s),
+                counters=self._kind_counters[kind],
+                payload_check=_payload_check(kind, n),
             )
             state.worker = asyncio.get_running_loop().create_task(
-                self._drain(state), name=f"serve-{key[0].value}-{key[1]}")
+                self._drain(state), name=f"serve-{kind.value}-{n}")
             self._queues[key] = state
         return state
 
-    def _depth_gauge(self, state: _QueueState) -> Tuple[Gauge, Gauge]:
-        """Set the queue's depth gauge and ``backlog_total``, the running
-        count of every queued request - O(1) in the number of queues.
-        Returns the two gauges."""
-        gauges = state.gauges
-        if gauges is None:
-            kind, n = state.key
-            gauges = state.gauges = (
-                self.metrics.gauge(f"queue_depth.{kind.value}.{n}"),
-                self.metrics.gauge("backlog_total"))
-        depth, backlog = gauges
-        depth.set(state.queue.qsize())
-        backlog.set(self._backlog.items)
+    def _gauges(self, state: _QueueState) -> Tuple[Gauge, Gauge]:
+        """The queue's depth gauge and ``backlog_total``, resolved on the
+        key's first put."""
+        kind, n = state.key
+        gauges = state.gauges = (
+            self.metrics.gauge(f"queue_depth.{kind.value}.{n}"),
+            self.metrics.gauge("backlog_total"))
         return gauges
 
     def _count_submit(self, kind: Optional[RequestKind]) -> None:
@@ -481,92 +458,97 @@ class CryptoPimService:
         for counter in counters:
             counter.inc(count)
 
+    # -- submit ---------------------------------------------------------------
+
     async def submit(self,
                      request: ServeRequest) -> Union[ServeResult, Rejection]:
         """Serve one request; resolves to a ServeResult or a Rejection.
 
-        An untraced request whose key has a route takes it; any other
-        request takes :meth:`_submit_cold`.  Both refuse in the same
-        order, with the same details: shutdown, key, payload, admission.
+        Every request, traced or not, takes this one path.  A request
+        whose ``(kind, n)`` key has a record counts itself and checks its
+        payload with the record's handles; any other request runs the key
+        check first.  Refusals come in one order, each with one detail:
+        shutdown, key, payload (operands, ``priority``, ``tenant``),
+        admission.  Tracing only adds the ``request`` and ``admit`` spans.
         """
+        kind, n = request.kind, request.n
         # a float degree equals an int key, so only an int looks one up
-        n = request.n
         try:
-            route = (self._routes.get((request.kind, n)) if type(n) is int
-                     else None)
-        except TypeError:  # an unhashable kind has no route
-            route = None
-        if route is None:
-            return await self._submit_cold(request)
-        for counter in route.counters:
-            counter.inc()
-        if not self._running:
-            rejection: Optional[Rejection] = _refusal(
-                request, RejectReason.SHUTDOWN, "service is draining")
+            state = self._queues.get((kind, n)) if type(n) is int else None
+        except TypeError:  # an unhashable kind has no record
+            state = None
+        if state is None:
+            self._count_submit(kind if isinstance(kind, RequestKind) else None)
         else:
-            try:
-                payload = route.check(request.payload)
-            except (TypeError, ValueError):
-                rejection = _refusal(request, RejectReason.INVALID,
-                                     route.invalid)
-            else:
-                queue = route.queue
-                rejection = self._admission.admit(request, queue.qsize())
-                if rejection is None:
-                    loop = asyncio.get_running_loop()
-                    pending = _Pending(request, payload, loop.time(),
-                                       loop.create_future())
-                    queue.put_nowait(
-                        (request.priority, request.request_id, pending))
-                    depth, backlog = route.gauges
-                    depth.set(queue.qsize())
-                    backlog.set(self._backlog.items)
-                    return await pending.future
-        self._count_rejected(rejection.reason)
-        return rejection
-
-    async def _submit_cold(
-            self, request: ServeRequest) -> Union[ServeResult, Rejection]:
-        """The full submit path: every traced request, and an untraced
-        one whose key has no route yet.  An untraced request it admits
-        builds its key's route."""
-        kind = request.kind if isinstance(request.kind, RequestKind) else None
-        self._count_submit(kind)
+            for counter in state.counters:
+                counter.inc()
         loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        if self.tracer.enabled:
+        tracing = self.tracer.enabled
+        if tracing:
+            t0 = loop.time()
             trace = self.tracer.start_trace(
                 "request", start_s=t0, request_id=request.request_id,
-                kind=repr(request.kind) if kind is None else kind.value,
-                n=request.n, tenant=request.tenant,
-                priority=request.priority)
+                kind=(kind.value if isinstance(kind, RequestKind)
+                      else repr(kind)),
+                n=n, tenant=request.tenant, priority=request.priority)
             admit_span = trace.child("admit", start_s=t0)
         else:
             trace = admit_span = NULL_SPAN
+        rejection: Optional[Rejection] = None
         try:
-            payload, rejection = self._validate(request)
+            if not self._running:
+                rejection = _refusal(request, RejectReason.SHUTDOWN,
+                                     "service is draining")
+            elif state is None:
+                detail = _unsupported(kind, n)
+                if detail is not None:
+                    rejection = _refusal(request, RejectReason.UNSUPPORTED,
+                                         detail)
+                else:
+                    check, invalid = _payload_check(kind, n)
+            else:
+                check, invalid = state.payload_check
             if rejection is None:
-                state = self._queue_state(request)
-                rejection = self._admission.admit(
-                    request, state.queue.qsize(), span=admit_span)
+                try:
+                    payload = check(request.payload)
+                except (TypeError, ValueError):
+                    rejection = _refusal(request, RejectReason.INVALID,
+                                         invalid)
+            if rejection is None:
+                priority = request.priority
+                # the heap compares priorities and the token buckets hash
+                # tenants, so either one malformed is refused here, alone
+                if (type(priority) is not int
+                        and not isinstance(priority, Integral)):
+                    rejection = _refusal(request, RejectReason.INVALID,
+                                         "priority must be an integer")
+                elif not isinstance(request.tenant, str):
+                    rejection = _refusal(request, RejectReason.INVALID,
+                                         "tenant must be a string")
+                else:
+                    record = state or self._queue_state(request)
+                    queue = record.queue
+                    rejection = self._admission.admit(
+                        request, queue.qsize(), admit_span)
         finally:
             # the admit span's close is the queue span's open: one shared
             # stamp, so the trace decomposes the latency exactly
             enqueued_at = loop.time()
-            admit_span.finish(end_s=enqueued_at)
+            if tracing:
+                admit_span.finish(end_s=enqueued_at)
         if rejection is None:
             pending = _Pending(request, payload, enqueued_at,
                                loop.create_future(), trace)
             # priority first, then arrival order within a priority class
-            state.queue.put_nowait(
-                (request.priority, request.request_id, pending))
-            gauges = self._depth_gauge(state)
-            if not self.tracer.enabled and state.key not in self._routes:
-                self._routes[state.key] = _Route(
-                    state, self._kind_counters[kind], gauges)
+            queue.put_nowait((priority, next(self._arrivals), pending))
+            depth, backlog = record.gauges or self._gauges(record)
+            depth.set(queue.qsize())
+            backlog.set(self._backlog.items)
             return await pending.future
         self._count_rejected(rejection.reason)
-        trace.set(rejected=rejection.reason.value).finish(end_s=loop.time())
+        if tracing:
+            trace.set(rejected=rejection.reason.value).finish(
+                end_s=loop.time())
         return rejection
 
     # -- the drain loop -------------------------------------------------------
@@ -588,7 +570,9 @@ class CryptoPimService:
                                  reason=RejectReason.SHUTDOWN,
                                  detail="service stopped mid-window")
                 raise
-            self._depth_gauge(state)
+            depth, backlog = state.gauges or self._gauges(state)
+            depth.set(state.queue.qsize())
+            backlog.set(self._backlog.items)
             pendings = [entry[2] for entry in entries]
             close_time = loop.time()
             route_info: Optional[Dict[str, Any]] = {} if tracing else None
@@ -597,13 +581,11 @@ class CryptoPimService:
                     async with self.fleet.lease(
                             n, route_info=route_info) as shard:
                         exec_start = loop.time()
-                        started = time.perf_counter()
                         try:
                             values = self._execute(kind, n, pendings)
                         except Exception as error:  # bad payload that passed
                             self._fail_batch(pendings, kind, n, error)
                             continue
-                        service_s = time.perf_counter() - started
                         exec_end = loop.time()
                         # charge the ledger only for work that ran
                         mults = self._mult_equivalents(kind, pendings)
@@ -628,7 +610,7 @@ class CryptoPimService:
             done_time = loop.time()
             results = self._complete_batch(
                 state, pendings, values, mults, timing, chip_index,
-                close_time, done_time, service_s)
+                close_time, done_time, exec_end - exec_start)
             if tracing:
                 self._trace_batch(
                     pendings, dequeued_at or [], close_time, exec_start,
@@ -636,14 +618,16 @@ class CryptoPimService:
             for pending, result in zip(pendings, results):
                 if not pending.future.done():
                     pending.future.set_result(result)
+            self._backlog.unresolved -= len(pendings)
 
     def _complete_batch(self, state: _QueueState, pendings: List[_Pending],
                         values: List[Any], mults: List[int],
                         timing: BatchTiming, chip: int, close_time: float,
                         done_time: float,
                         service_s: float) -> List[ServeResult]:
-        """Build the batch's results from its shared stamps and record the
-        batch and its members' latencies, one call per instrument."""
+        """Build the batch's results from its shared stamps (``service_s``
+        is the execute interval) and record the batch and its members'
+        latencies, one call per instrument."""
         kind, n = state.key
         size = len(pendings)
         cycles = timing.completion_cycles
@@ -727,6 +711,7 @@ class CryptoPimService:
             return
         detail = repr(error) if detail is None else detail
         self._count_rejected(reason, len(pendings))
+        self._backlog.unresolved -= len(pendings)
         for pending in pendings:
             if not pending.future.done():
                 pending.future.set_result(Rejection(
@@ -789,8 +774,9 @@ class CryptoPimService:
     # -- lifecycle ------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Wait until every queue is empty and all in-flight work is done."""
-        while any(s.queue.qsize() for s in self._queues.values()):
+        """Wait until every admitted request has resolved: none is left
+        queued, in an open batch window or executing."""
+        while self._backlog.unresolved:
             await asyncio.sleep(0.001)
         await self.fleet.quiesce()  # the last batch has released its chip
 
