@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ntt.params import NttParams, params_for_degree
-from ..ntt.polynomial import (MultiplierBackend, Polynomial, centered_block,
-                              multiply_rows)
+from ..ntt.polynomial import MultiplierBackend, Polynomial, multiply_rows
 from ..ntt.transform import NttEngine
 from .sampling import MAX_CBD_ETA, cbd_block
 
@@ -65,6 +64,12 @@ class KyberPublicKey:
         """``block`` in the NTT domain: the cached ``A^T`` and ``t``."""
         return _ntt_domain(self.block, self.t[0].params)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``hat`` as the float matrix every encryption's ``dot_many``
+        multiplies by."""
+        return NttEngine.shared(self.t[0].params).dot_matrix(self.hat)
+
 
 @dataclass(frozen=True)
 class KyberSecretKey:
@@ -80,19 +85,91 @@ class KyberSecretKey:
         """``block`` in the NTT domain: the cached ``s``."""
         return _ntt_domain(self.block, self.s[0].params)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``hat`` as the float matrix every decryption's ``dot_many``
+        multiplies by."""
+        return NttEngine.shared(self.s[0].params).dot_matrix(self.hat)
 
-@dataclass(frozen=True)
+
 class KyberCiphertext:
-    u: List[Polynomial]
-    v: Polynomial
+    """A ciphertext ``(u, v)`` as one read-only ``(k + 1, n)`` ``uint64``
+    block of canonical residues: rows ``0..k-1`` are ``u``, row ``k`` is
+    ``v``.
+
+    ``u`` and ``v`` are :class:`Polynomial` views of the block's rows,
+    built on first read.  ``KyberCiphertext(u=..., v=...)`` stacks the
+    parts into a block of their own when they are ring elements of one
+    ring; any other parts are kept as given, with no block and no ring
+    (``block`` and ``params`` are ``None``), so a malformed ciphertext can
+    still be built and is refused by whatever checks it.
+    """
+
+    __slots__ = ("block", "params", "_backend", "_u", "_v")
+    block: Optional[np.ndarray]
+    params: Optional[NttParams]
+
+    def __init__(self, u: Sequence[Polynomial], v: Polynomial):
+        parts = list(u) + [v] if isinstance(u, (list, tuple)) else []
+        if (len(parts) > 1
+                and all(isinstance(p, Polynomial) for p in parts)
+                and all(p.n == v.n and p.q == v.q for p in parts)):
+            block = np.stack([p.coeffs for p in parts])
+            block.setflags(write=False)
+            self._init(block, v.params, v._backend)
+        else:
+            self.block = self.params = self._backend = None
+            self._u, self._v = u, v
+
+    def _init(self, block: np.ndarray, params: NttParams,
+              backend: Optional[MultiplierBackend]) -> None:
+        self.block = block
+        self.params = params
+        self._backend = backend
+        self._u = self._v = None
+
+    @classmethod
+    def _from_block(cls, block: np.ndarray, params: NttParams,
+                    backend: Optional[MultiplierBackend]) -> "KyberCiphertext":
+        """Adopt a read-only ``(k + 1, n)`` block of canonical residues
+        this package made, without copying or checking it."""
+        ct = cls.__new__(cls)
+        ct._init(block, params, backend)
+        return ct
+
+    def _row(self, row: np.ndarray) -> Polynomial:
+        return Polynomial._from_residues(row, self.params, self._backend)
+
+    @property
+    def u(self) -> List[Polynomial]:
+        if self._u is None and self.block is not None:
+            self._u = [self._row(row) for row in self.block[:-1]]
+        return self._u
+
+    @property
+    def v(self) -> Polynomial:
+        if self._v is None and self.block is not None:
+            self._v = self._row(self.block[-1])
+        return self._v
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KyberCiphertext):
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __repr__(self) -> str:
+        return f"KyberCiphertext(u={self.u!r}, v={self.v!r})"
 
 
 class KyberPke:
     """Kyber-lite CPA-PKE with module rank ``k`` (Kyber512 uses k=2).
 
-    Keys and ciphertexts hold :class:`Polynomial` objects, but the scheme
-    itself runs on ``(count, k, n)`` residue blocks: one noise draw and
-    one block multiply per batch of messages, whatever its size.
+    Keys hold :class:`Polynomial` objects, but the scheme itself runs on
+    ``(count, k + 1, n)`` residue blocks from the noise draw to the
+    result: one noise draw, one ``dot_many`` against the key's cached
+    float matrix and one fused reduction per batch of messages, whatever
+    its size.  Each ciphertext is one ``(k + 1, n)`` row of the batch's
+    result block (:class:`KyberCiphertext`).
 
     Args:
         k: module rank.
@@ -139,12 +216,13 @@ class KyberPke:
 
     def _dot(self, key, operands: np.ndarray) -> np.ndarray:
         """``out[c, i] = sum_j key.block[i, j] * operands[c, j] mod q`` for
-        a key's ``(rows, k, n)`` block and a ``(count, k, n)`` block.
+        a key's ``(rows, k, n)`` block and a ``(count, k, n)`` block, as a
+        fresh ``(count, rows, n)`` block the caller may write to.
 
         The one dispatch rule: a backend with ``dot_many`` (the default
         :class:`NttEngine`) sums the products against the key's cached
-        ``hat`` in one float-resident call - ``2k + 1`` transforms per
-        encryption and ``k + 1`` per decryption instead of three per
+        float ``matrix`` in one float-resident call - ``2k + 1`` transforms
+        per encryption and ``k + 1`` per decryption instead of three per
         product.  Any other backend (CryptoPIM, the segmented and dataflow
         models) multiplies every pair in one :func:`multiply_rows` call,
         so the accelerator still sees each product.
@@ -153,7 +231,7 @@ class KyberPke:
         rows = key.block.shape[0]
         backend = self._backend()
         if hasattr(backend, "dot_many"):
-            return backend.dot_many(key.hat, operands)
+            return backend.dot_many(key.matrix, operands)
         pairs = np.broadcast_to(operands[:, None], (count, rows, k, n))
         products = self._products(key.block.reshape(rows * k, n),
                                   pairs.reshape(count, rows * k, n))
@@ -198,26 +276,27 @@ class KyberPke:
         dispatch per window, not per client.  Noise ``r, e1, e2`` is drawn
         per message in submission order, so results match ``encrypt``
         called in sequence with the same generator.
+
+        The tail is fused over the ``(count, k + 1, n)`` result: ``e1`` and
+        ``e2`` are one add, the message term goes to row ``k``,
+        and two conditional subtracts reduce the whole block (its entries
+        are below ``2q + q // 2``).  The block is fresh, never a
+        workspace, and read-only once reduced; each ciphertext is one of
+        its rows.
         """
         block = np.asarray(messages)
         if block.ndim != 2 or block.shape[1] != self.params.n:
             raise ValueError(
                 f"messages must be (count, {self.params.n}) bits")
         count, k, q = block.shape[0], self.k, self.params.q
-        noise = self._noise(count, 2 * k + 1)
-        r, e1, e2 = noise[:, :k], noise[:, k:2 * k], noise[:, 2 * k]
-        rows = self._dot(pk, r)                   # A^T r, then t . r
-        u = _reduce_once(rows[:, :k] + e1, q)
-        v = _reduce_once(_reduce_once(rows[:, k] + e2, q)
-                         + block.astype(np.uint64) * np.uint64(q // 2), q)
-        # u and v are reduced already: each polynomial adopts a copy of its
-        # row (about 7x cheaper than a second % q), so no ciphertext shares
-        # or keeps alive the batch's blocks
-        def wrap(row: np.ndarray) -> Polynomial:
-            return Polynomial._from_residues(row.copy(), self.params,
-                                             self.backend)
-        return [KyberCiphertext(u=[wrap(row) for row in u[m]], v=wrap(v[m]))
-                for m in range(count)]
+        noise = self._noise(count, 2 * k + 1)     # r, e1, e2 per message
+        out = self._dot(pk, noise[:, :k])         # A^T r, then t . r
+        out += noise[:, k:]
+        out[:, k] += block.astype(np.uint64) * np.uint64(q // 2)
+        _reduce_once(_reduce_once(out, q), q)
+        out.setflags(write=False)
+        return [KyberCiphertext._from_block(row, self.params, self.backend)
+                for row in out]
 
     def decrypt_many(self, sk: KyberSecretKey,
                      cts: Sequence[KyberCiphertext]) -> List[np.ndarray]:
@@ -226,15 +305,24 @@ class KyberPke:
 
     def _decrypt_block(self, sk: KyberSecretKey,
                        cts: Sequence[KyberCiphertext]) -> np.ndarray:
-        """The ``(count, n)`` boolean message bits of ``cts``."""
-        q, n = self.params.q, self.params.n
+        """The ``(count, n)`` boolean message bits of ``cts``.
+
+        A bit is set where ``v - s . u`` is nearer ``q/2`` than 0: for a
+        residue ``x`` in ``[0, q)``, ``|centered(x)| > q//4`` is the one
+        range test ``q//4 < x < q - q//4``, which one wrapping ``uint64``
+        subtract and compare decide.
+        """
+        q, n, k = self.params.q, self.params.n, self.k
         if not cts:
             return np.zeros((0, n), dtype=bool)
-        u = np.stack([[p.coeffs for p in ct.u] for ct in cts])
-        v = np.stack([ct.v.coeffs for ct in cts])
-        s_u = self._dot(sk, u)[:, 0]
-        noisy = _reduce_once(v + np.uint64(q) - s_u, q)
-        return np.abs(centered_block(noisy, q)) > q // 4
+        low = q // 4 + 1
+        blocks = np.stack([ct.block for ct in cts])
+        noisy = self._dot(sk, blocks[:, :k])[:, 0]    # s . u
+        np.subtract(blocks[:, k], noisy, out=noisy)    # v - s . u, wrapping
+        noisy += np.uint64(q)
+        _reduce_once(noisy, q)
+        noisy -= np.uint64(low)                        # wraps below low
+        return noisy < np.uint64(q - q // 4 - low)
 
 
 class KyberKem:

@@ -57,6 +57,23 @@ def _cbd_table(eta: int, q: int) -> np.ndarray:
     return table
 
 
+def _cbd_width(eta: int) -> int:
+    """Bytes of stream per CBD_eta coefficient: ``ceil(2 eta / 8)``."""
+    return 1 if eta <= 4 else 2
+
+
+@lru_cache(maxsize=None)
+def _cbd_word_table(eta: int, q: int) -> np.ndarray:
+    """:func:`_cbd_table` repeated over every stream word: 256 entries for
+    one-byte words, 65,536 for two-byte ones, so entry ``w`` is
+    ``_cbd_table(eta, q)[w & (2^(2 eta) - 1)]`` and a word indexes it as
+    it is, bits above ``2 eta`` included."""
+    small = _cbd_table(eta, q)
+    table = np.tile(small, (1 << (8 * _cbd_width(eta))) // len(small))
+    table.setflags(write=False)
+    return table
+
+
 def cbd_block(rng: np.random.Generator, eta: int,
               shape: Union[int, Tuple[int, ...]], q: int) -> np.ndarray:
     """A ``shape`` block of CBD_eta residues mod ``q`` (``uint64``), drawn
@@ -66,20 +83,21 @@ def cbd_block(rng: np.random.Generator, eta: int,
     low ``eta`` bits are the ``a`` coins and the next ``eta`` the ``b``
     coins, so the value is ``popcount(a) - popcount(b)`` and any bits
     above ``2 eta`` are dropped - FIPS 203's SamplePolyCBD over a byte
-    stream (https://doi.org/10.6028/NIST.FIPS.203).  One cached table
-    lookup per coefficient replaces ``2 eta`` coin draws.
+    stream (https://doi.org/10.6028/NIST.FIPS.203).  One ``take`` from a
+    cached table that covers the whole word (:func:`_cbd_word_table`)
+    replaces ``2 eta`` coin draws and the mask of the dropped bits.
 
     Blocks drawn back to back read one contiguous stream whenever each
     block's byte count is a multiple of 4 (every ring with n >= 4), so one
     ``(count, n)`` block equals ``count`` successive ``n``-coefficient
     draws bit for bit.
     """
-    table = _cbd_table(eta, q)
-    width = 1 if eta <= 4 else 2
+    table = _cbd_word_table(eta, q)
+    width = _cbd_width(eta)
     count = int(np.prod(shape))
     stream = np.frombuffer(rng.bytes(count * width),
                            dtype=np.uint8 if width == 1 else "<u2")
-    return table[stream & (len(table) - 1)].reshape(shape)
+    return table.take(stream).reshape(shape)
 
 
 def cbd_poly(params: NttParams, rng: np.random.Generator, eta: int = 2) -> Polynomial:

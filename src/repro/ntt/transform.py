@@ -507,6 +507,25 @@ class NttEngine:
         """
         return self._run(self._to_ntt_rows, self._rows(values), order="C")
 
+    def dot_matrix(self, left_hat: np.ndarray) -> np.ndarray:
+        """A shared ``(rows, k, n)`` NTT-domain key as the read-only
+        float64 ``(n, k, rows)`` matrix :meth:`dot_many` multiplies by:
+        one ``(k, rows)`` matrix of canonical residues per position.
+
+        A key that meets many batches keeps it and passes it to
+        :meth:`dot_many` in place of ``left_hat``, so no call re-casts or
+        re-scans the key.
+        """
+        left = np.asarray(left_hat, dtype=np.uint64)
+        if left.ndim != 3 or left.shape[-1] != self.n:
+            raise ValueError(
+                f"expected a (rows, k, {self.n}) key, got shape {left.shape}")
+        rows, k, n = left.shape
+        matrix = self._residues(left.transpose(2, 1, 0),
+                                np.empty((n, k, rows)))
+        matrix.setflags(write=False)
+        return matrix
+
     def dot_many(self, left_hat: np.ndarray, right: np.ndarray) -> np.ndarray:
         """``out[c, i] = sum_j left[i, j] * right[c, j]``, negacyclic
         products summed in the NTT domain, for a whole batch at once.
@@ -514,12 +533,15 @@ class NttEngine:
         ``left_hat`` is an NTT-domain block (rows of :meth:`to_ntt_many`)
         of shape ``(rows, k, n)`` - one key shared by every member - or
         ``(count, rows, k, n)``, one left operand per member; a length-1
-        ``count`` or ``k`` axis broadcasts.  ``right`` is a ``(count, k,
-        n)`` block of coefficients.  Returns the ``(count, rows, n)``
-        coefficients of the sums, canonical and row-contiguous.
+        ``count`` or ``k`` axis broadcasts.  A float64 ``left_hat`` is a
+        shared key's :meth:`dot_matrix`, taken as it is.  ``right`` is a
+        ``(count, k, n)`` block of coefficients.  Returns the ``(count,
+        rows, n)`` coefficients of the sums, canonical, row-contiguous and
+        fresh: the caller may write to them.
 
         The body stays float64 in the thread's workspaces (the left's
-        float copy is its one allocation) from its entry cast to its exit
+        float matrix is its one allocation, none for a key's
+        :meth:`dot_matrix`) from its entry cast to its exit
         cast: ``count * k`` forward transforms, one
         exact ``matmul`` against ``left`` per chunk of
         ``FloatSchedule.dot_terms`` terms (the sum is reduced between
@@ -527,26 +549,44 @@ class NttEngine:
         transforms - ``2k + 1`` per Kyber encryption where per-product
         ``multiply_many`` would run ``3 (k^2 + k)``.
         """
-        left = np.asarray(left_hat, dtype=np.uint64)
+        left = np.asarray(left_hat)
         right = np.asarray(right, dtype=np.uint64)
-        if right.ndim != 3 or right.shape[2] != self.n \
-                or left.ndim not in (3, 4) or left.shape[-1] != self.n:
+        keyed = left.dtype == np.float64    # a key's (n, k, rows) matrix
+        if keyed:
+            valid = left.ndim == 3 and left.shape[0] == self.n
+        else:
+            left = left.astype(np.uint64, copy=False)
+            valid = left.ndim in (3, 4) and left.shape[-1] == self.n
+        if not valid or right.ndim != 3 or right.shape[2] != self.n:
             raise ValueError(
                 f"expected a (rows, k, {self.n}) or (count, rows, k, "
                 f"{self.n}) left operand and a (count, k, {self.n}) right "
                 f"one, got shapes {left.shape} and {right.shape}")
         count, k, n = right.shape
-        rows = left.shape[-3]
+        rows = left.shape[-1] if keyed else left.shape[-3]
         try:
-            left = np.broadcast_to(left, (count, rows, k, n))
+            left = np.broadcast_to(
+                left, (n, k, rows) if keyed else (count, rows, k, n))
         except ValueError:
             raise ValueError(
                 f"left operand {left.shape} does not broadcast against a "
                 f"right operand of {k} terms for {count} members") from None
+        shape = (count, rows, n)
         if count == 0:
-            return np.empty((0, rows, n), dtype=np.uint64)
-        return self._run(self._dot_rows, right, left, order="C",
-                         shape=(count, rows, n))
+            return np.empty(shape, dtype=np.uint64)
+        if keyed:
+            matrix = left
+        elif left.strides[0] == 0 or count == 1:   # one key for every member
+            matrix = self.dot_matrix(left[0])
+        else:
+            # one (k, rows) matrix per member and position, member-major so
+            # that a sliced call's row ranges split them by member
+            matrices = self._residues(left.transpose(0, 3, 2, 1),
+                                      np.empty((count, n, k, rows)))
+            return self._run(self._dot_rows, right, matrices, order="C",
+                             shape=shape)
+        return self._run(lambda ops, out: self._dot_rows(ops, matrix, out),
+                         right, order="C", shape=shape)
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """The caller's block as ``uint64``, shape-checked."""
@@ -682,18 +722,13 @@ class NttEngine:
             out = np.empty(hat.shape, dtype=np.uint64)
         return self._emit(hat, out)
 
-    def _dot_rows(self, right: np.ndarray, left: np.ndarray,
+    def _dot_rows(self, right: np.ndarray, matrix: np.ndarray,
                   out: Optional[np.ndarray]) -> np.ndarray:
+        """The sums of a ``(count, k, n)`` block against a shared ``(n, k,
+        rows)`` key matrix, or per-member ``(count, n, k, rows)`` ones."""
         count, k, n = right.shape
-        rows = left.shape[1]
+        rows = matrix.shape[-1]
         q = float(self.q)
-        # one (k, rows) float matrix per position t: once for a key that
-        # every member shares, else per member
-        shared = left.strides[0] == 0 or count == 1
-        if shared:
-            left = left[:1]
-        mats = self._residues(left.transpose(3, 0, 2, 1),
-                              np.empty((n, len(left), k, rows)))
         w0, w1, _ = _workspace(count * k, n)
         ops, free = self._forward(
             self._as_batch(right.reshape(count * k, n), w0, w1), w1,
@@ -706,15 +741,14 @@ class NttEngine:
         hat = ops.T.reshape(n, count, k)
         acc = sums.T.reshape(n, count, rows)
         part = spare.T.reshape(n, count, rows)
-        if shared:
-            mats = mats[:, 0]
-        else:
+        if matrix.ndim == 4:   # per member: batched over (position, member)
+            matrix = matrix.transpose(1, 0, 2, 3)
             hat, acc, part = hat[:, :, None], acc[:, :, None], part[:, :, None]
         step = self._schedule.dot_terms
-        np.matmul(hat[..., :step], mats[..., :step, :], out=acc)
+        np.matmul(hat[..., :step], matrix[..., :step, :], out=acc)
         for lo in range(step, k, step):
             reduce_float(sums, q, spare)
-            np.matmul(hat[..., lo:lo + step], mats[..., lo:lo + step, :],
+            np.matmul(hat[..., lo:lo + step], matrix[..., lo:lo + step, :],
                       out=part)
             np.add(acc, part, out=acc)
         if out is None:

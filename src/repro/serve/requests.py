@@ -42,7 +42,8 @@ class RequestKind(Enum):
 
 
 class RejectReason(Enum):
-    """Why the service refused a request (admission control / shedding)."""
+    """Why the service refused a request: admission control, shedding, a
+    malformed request, shutdown, or a fault of the service itself."""
 
     QUEUE_FULL = "queue_full"      # the per-parameter-set queue is at capacity
     RATE_LIMITED = "rate_limited"  # tenant token bucket is empty
@@ -50,6 +51,7 @@ class RejectReason(Enum):
     UNSUPPORTED = "unsupported"    # kind/degree combination not servable
     INVALID = "invalid"            # malformed payload
     SHUTDOWN = "shutdown"          # service is draining
+    INTERNAL = "internal"          # the service failed the window after dequeue
 
 
 _REQUEST_IDS = itertools.count(1)

@@ -58,7 +58,7 @@ from ..core.accelerator import CryptoPIM
 from ..core.scheduler import BatchTiming
 from ..crypto.bfv import BfvScheme
 from ..crypto.bgv import BgvScheme
-from ..crypto.kyber import KyberKem
+from ..crypto.kyber import KyberCiphertext, KyberKem
 from ..ntt.params import params_for_degree
 from ..ntt.polynomial import Polynomial
 from ..ntt.transform import NttEngine
@@ -137,11 +137,11 @@ def _payload_check(kind: RequestKind, n: int) -> Tuple[_PayloadCheck, str]:
     The check returns the payload as the handlers take it, or raises
     ``TypeError``/``ValueError``.  POLYMUL and NTT operands come back as
     length-``n`` uint64 vectors, HE operands must be ciphertexts over
-    the degree's ring and a decaps ciphertext must hold ``KYBER_RANK``
-    ``u`` polynomials and one ``v`` over it, so an operand the kernel
-    could not take is refused at submit, alone, instead of failing the
-    whole batch window it would have joined.  Keys are bounded (nine kinds, fourteen degrees), so the
-    cache is too.
+    the degree's ring and a decaps ciphertext's block must hold
+    ``KYBER_RANK`` ``u`` rows and one ``v`` row over it, so an operand
+    the kernel could not take is refused at submit, alone, instead of
+    failing the whole batch window it would have joined.  Keys are
+    bounded (nine kinds, fourteen degrees), so the cache is too.
     """
     if kind is RequestKind.POLYMUL:
         def polymul(payload: Any) -> Any:
@@ -166,11 +166,16 @@ def _payload_check(kind: RequestKind, n: int) -> Tuple[_PayloadCheck, str]:
                       f"over the (n={n}, q={q}) ring")
     if kind is RequestKind.KYBER_DECAPS:
         q = params_for_degree(n).q
+        shape = (KYBER_RANK + 1, n)
 
         def ciphertext(payload: Any) -> Any:
-            u = getattr(payload, "u", None)
-            if not (_ring_elements(u, n, q) and len(u) == KYBER_RANK
-                    and _ring_elements([getattr(payload, "v", None)], n, q)):
+            # a ciphertext's block holds canonical rows by construction, so
+            # its type, shape and ring are the whole check
+            if not (isinstance(payload, KyberCiphertext)
+                    and payload.params is not None
+                    and payload.params.q == q
+                    and payload.block is not None
+                    and payload.block.shape == shape):
                 raise TypeError("not a Kyber ciphertext")
             return payload
         return ciphertext, "decaps payload must be a Kyber ciphertext"
@@ -570,34 +575,48 @@ class CryptoPimService:
                                  reason=RejectReason.SHUTDOWN,
                                  detail="service stopped mid-window")
                 raise
-            depth, backlog = state.gauges or self._gauges(state)
-            depth.set(state.queue.qsize())
-            backlog.set(self._backlog.items)
             pendings = [entry[2] for entry in entries]
-            close_time = loop.time()
-            route_info: Optional[Dict[str, Any]] = {} if tracing else None
             try:
-                try:
-                    async with self.fleet.lease(
-                            n, route_info=route_info) as shard:
-                        exec_start = loop.time()
-                        try:
-                            values = self._execute(kind, n, pendings)
-                        except Exception as error:  # bad payload that passed
-                            self._fail_batch(pendings, kind, n, error)
-                            continue
-                        exec_end = loop.time()
-                        # charge the ledger only for work that ran
-                        mults = self._mult_equivalents(kind, pendings)
-                        timing = shard.timeline.dispatch(n, sum(mults))
-                        chip_index = shard.index
-                except FleetDrained:
-                    # every chip is administratively drained: fail the
-                    # window over with typed rejections, don't drop it
-                    self._fail_batch(pendings, kind, n,
-                                     reason=RejectReason.SHUTDOWN,
-                                     detail="every fleet chip is drained")
-                    continue
+                depth, backlog = state.gauges or self._gauges(state)
+                depth.set(state.queue.qsize())
+                backlog.set(self._backlog.items)
+                close_time = loop.time()
+                route_info: Optional[Dict[str, Any]] = (
+                    {} if tracing else None)
+                async with self.fleet.lease(
+                        n, route_info=route_info) as shard:
+                    exec_start = loop.time()
+                    try:
+                        values = self._execute(kind, n, pendings)
+                    except Exception as error:  # bad payload that passed
+                        self._fail_batch(pendings, kind, n, error)
+                        continue
+                    exec_end = loop.time()
+                    # charge the ledger only for work that ran
+                    mults = self._mult_equivalents(kind, pendings)
+                    timing = shard.timeline.dispatch(n, sum(mults))
+                    chip_index = shard.index
+                done_time = loop.time()
+                # spans first and the roots last, so a fault in either
+                # bookkeeping step leaves no member traced or counted as
+                # completed
+                if tracing:
+                    self._trace_batch(
+                        pendings, dequeued_at or [], close_time, exec_start,
+                        exec_end, timing, chip_index, route_info)
+                results = self._complete_batch(
+                    state, pendings, values, mults, timing, chip_index,
+                    close_time, done_time, exec_end - exec_start)
+                if tracing:
+                    for pending in pendings:
+                        pending.trace.finish(end_s=done_time)
+            except FleetDrained:
+                # every chip is administratively drained: fail the window
+                # over with typed rejections, don't drop it
+                self._fail_batch(pendings, kind, n,
+                                 reason=RejectReason.SHUTDOWN,
+                                 detail="every fleet chip is drained")
+                continue
             except asyncio.CancelledError:
                 # shutdown while waiting on (or holding) the chip lease:
                 # the window already left the queue, so stop() will never
@@ -607,14 +626,18 @@ class CryptoPimService:
                                  reason=RejectReason.SHUTDOWN,
                                  detail="service stopped mid-dispatch")
                 raise
-            done_time = loop.time()
-            results = self._complete_batch(
-                state, pendings, values, mults, timing, chip_index,
-                close_time, done_time, exec_end - exec_start)
-            if tracing:
-                self._trace_batch(
-                    pendings, dequeued_at or [], close_time, exec_start,
-                    exec_end, done_time, timing, chip_index, route_info)
+            except Exception as error:
+                # a fault of the service's own bookkeeping after dequeue
+                # (pricing, the ledger, metrics, spans) refuses this window
+                # alone, and the loop goes on serving the key; the loop's
+                # exception handler logs the traceback
+                loop.call_exception_handler({
+                    "message": f"serve {kind.value}-{n}: window of "
+                               f"{len(pendings)} failed after dequeue",
+                    "exception": error})
+                self._fail_batch(pendings, kind, n, error,
+                                 reason=RejectReason.INTERNAL)
+                continue
             for pending, result in zip(pendings, results):
                 if not pending.future.done():
                     pending.future.set_result(result)
@@ -653,18 +676,20 @@ class CryptoPimService:
         chip_counter.inc()
         meters.size.record(size)
         meters.occupancy.record(size / state.window.capacity)
-        meters.completed.inc(size)
         meters.e2e.record_many(totals)
         meters.queue_wait.record_many(waits)
         meters.service.record_many([service_s] * size)
         meters.kind_e2e.record_many(totals)
+        # last, so a fault above never counts a refused member as completed
+        meters.completed.inc(size)
         return results
 
     def _trace_batch(self, pendings: List[_Pending], dequeued_at: List[float],
                      close_time: float, exec_start: float, exec_end: float,
-                     done_time: float, timing: BatchTiming, chip: int,
+                     timing: BatchTiming, chip: int,
                      route_info: Optional[Dict[str, Any]]) -> None:
-        """Attach the batch's stage spans to each member's trace.
+        """Attach the batch's stage spans to each member's trace; the drain
+        loop closes the roots once the batch is counted.
 
         Every span is born finished from the *shared* stamps the drain
         loop took once per batch, so consecutive spans meet at identical
@@ -701,7 +726,6 @@ class CryptoPimService:
                         batch_size=timing.count)
             trace.attach(lease)
             trace.attach(execute)
-            trace.finish(end_s=done_time)
 
     def _fail_batch(self, pendings: List[_Pending], kind: RequestKind,
                     n: int, error: Optional[Exception] = None,
@@ -781,23 +805,32 @@ class CryptoPimService:
         await self.fleet.quiesce()  # the last batch has released its chip
 
     async def stop(self) -> None:
-        """Refuse new work, cancel drain loops, reject queued requests."""
+        """Refuse new work, cancel drain loops, reject queued requests.
+
+        Every key's leftovers are refused even where a drain task ended
+        with an exception; the first such exception is raised once all of
+        them are."""
         self._running = False
         for state in self._queues.values():
             if state.worker is not None:
                 state.worker.cancel()
+        failure: Optional[Exception] = None
         for state in self._queues.values():
             if state.worker is not None:
                 try:
                     await state.worker
                 except asyncio.CancelledError:
                     pass
+                except Exception as error:
+                    failure = failure or error
             leftovers: List[_Pending] = []
             while not state.queue.empty():
                 leftovers.append(state.queue.get_nowait()[2])
             self._fail_batch(leftovers, *state.key,
                              reason=RejectReason.SHUTDOWN,
                              detail="service stopped")
+        if failure is not None:
+            raise failure
 
     async def __aenter__(self) -> "CryptoPimService":
         return self

@@ -7,6 +7,8 @@ import pytest
 
 from repro.crypto.sampling import (
     DiscreteGaussianSampler,
+    _cbd_table,
+    _cbd_word_table,
     cbd_block,
     cbd_poly,
     gaussian_poly,
@@ -125,6 +127,34 @@ class TestCbdBlock:
         a = cbd_poly(params, np.random.default_rng(9), 3)
         b = cbd_block(np.random.default_rng(9), 3, params.n, params.q)
         assert np.array_equal(a.coeffs, b)
+
+
+class TestCbdWordTable:
+    """The whole-word table is the ``2^(2 eta)``-entry table repeated, so
+    indexing it with a stream word equals masking the word first."""
+
+    @pytest.mark.parametrize("eta", range(1, 9))
+    def test_word_table_is_the_masked_table(self, eta, paper_modulus):
+        small = _cbd_table(eta, paper_modulus)
+        table = _cbd_word_table(eta, paper_modulus)
+        width = 1 if eta <= 4 else 2
+        words = np.arange(1 << (8 * width))
+        assert len(small) == 1 << (2 * eta)
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        assert np.array_equal(table, small[words & (len(small) - 1)])
+
+    @pytest.mark.parametrize("eta", [1, 3, 4, 5, 8])
+    def test_block_is_the_masked_rule_on_seeded_streams(self, eta):
+        width = 1 if eta <= 4 else 2
+        shape = (3, 5, 256)
+        block = cbd_block(np.random.default_rng(eta), eta, shape, 7681)
+        stream = np.frombuffer(
+            np.random.default_rng(eta).bytes(width * 3 * 5 * 256),
+            dtype=f"<u{width}")
+        small = _cbd_table(eta, 7681)
+        expected = small[stream & (len(small) - 1)].reshape(shape)
+        assert block.dtype == np.uint64 and block.shape == shape
+        assert np.array_equal(block, expected)
 
 
 class TestTernary:

@@ -8,11 +8,14 @@ import pytest
 from repro.core.accelerator import CryptoPIM
 from repro.crypto.bfv import BfvScheme
 from repro.crypto.bgv import BgvScheme
-from repro.crypto.kyber import KyberKem, KyberPke
+from repro.crypto.kyber import (KyberCiphertext, KyberKem, KyberPke,
+                                KyberSecretKey)
 from repro.crypto.newhope import KEY_BITS, NewHopeKem
 from repro.crypto.rlwe import RlweScheme
 from repro.crypto.sampling import cbd_poly, uniform_poly
+from repro.ntt import transform
 from repro.ntt.naive import schoolbook_negacyclic
+from repro.ntt.params import params_for_degree
 from repro.ntt.polynomial import Polynomial
 
 
@@ -263,20 +266,20 @@ class TestKyberBatch:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_ciphertext_rows_are_canonical(self, k, backend):
         """``encrypt_many`` wraps its already-reduced ``u`` and ``v`` rows
-        as they are: ``uint64`` residues in ``[0, q)``, read-only, each in
-        storage of its own (no view into the batch's blocks)."""
+        as they are: ``uint64`` residues in ``[0, q)``, read-only, each a
+        view of its own ciphertext's block and of no other's."""
         pke = KyberPke(k=k, backend=backend, rng=_rng(84 + k))
         pk, _ = pke.keygen()
-        polys = [poly for ct in pke.encrypt_many(
-                     pk, _rng(85).integers(0, 2, (5, 256)))
-                 for poly in ct.u + [ct.v]]
+        cts = pke.encrypt_many(pk, _rng(85).integers(0, 2, (5, 256)))
+        polys = [(ct, poly) for ct in cts for poly in ct.u + [ct.v]]
         assert len(polys) == 5 * (k + 1)
-        for poly in polys:
+        for ct, poly in polys:
             assert poly.coeffs.dtype == np.uint64
             assert poly.coeffs.shape == (256,)
             assert int(poly.coeffs.max()) < pke.params.q
             assert not poly.coeffs.flags.writeable
-            assert poly.coeffs.base is None
+            assert [np.shares_memory(poly.coeffs, other.block)
+                    for other in cts] == [other is ct for other in cts]
 
     def test_seeded_outputs_are_pinned(self, backend):
         """sha256 over seeded ciphertexts and shared secrets.  Only a
@@ -308,6 +311,76 @@ class TestKyberBatch:
         assert kem.decapsulate_many(sk, []) == []
         assert kem.pke.encrypt_many(
             pk, np.zeros((0, 256), dtype=np.int64)) == []
+
+
+class TestKyberCiphertextBlock:
+    """A ciphertext is one read-only ``(k + 1, n)`` block of canonical
+    residues; ``u`` and ``v`` are views of its rows."""
+
+    @pytest.fixture(params=["engine", "cryptopim"])
+    def backend(self, request):
+        return CryptoPIM.for_degree(256) if request.param == "cryptopim" else None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_are_read_only_canonical_rows(self, k, backend):
+        kem = KyberKem(k=k, backend=backend, rng=_rng(120 + k))
+        pk, _ = kem.keygen()
+        cts = [ct for ct, _ in kem.encapsulate_many(pk, 7)]
+        workspace = getattr(transform._WORKSPACES, "buffers", ())
+        for ct in cts:
+            block = ct.block
+            assert block.shape == (k + 1, 256) and block.dtype == np.uint64
+            assert not block.flags.writeable
+            assert int(block.max()) < kem.pke.params.q
+            assert ct.params is kem.pke.params
+            assert not any(np.shares_memory(block, buf) for buf in workspace)
+            rows = [p.coeffs for p in ct.u + [ct.v]]
+            assert all(np.shares_memory(row, block) for row in rows)
+            assert np.array_equal(np.stack(rows), block)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rebuilt_ciphertext_decapsulates_alike(self, k, backend):
+        kem = KyberKem(k=k, backend=backend, rng=_rng(130 + k))
+        pk, sk = kem.keygen()
+        pairs = kem.encapsulate_many(pk, 5)
+        rebuilt = [KyberCiphertext(u=ct.u, v=ct.v) for ct, _ in pairs]
+        for (ct, _), again in zip(pairs, rebuilt):
+            assert again == ct and again.block is not ct.block
+            assert np.array_equal(again.block, ct.block)
+            assert not again.block.flags.writeable
+            assert repr(again) == repr(ct)
+        assert kem.decapsulate_many(sk, rebuilt) == \
+            kem.decapsulate_many(sk, [ct for ct, _ in pairs]) == \
+            [key for _, key in pairs]
+
+    def test_malformed_parts_build_without_a_block(self):
+        kem = KyberKem(rng=_rng(140))
+        pk, _ = kem.keygen()
+        ct, _ = kem.encapsulate(pk)
+        wide = Polynomial.zero(params_for_degree(512))
+        for u, v in [(ct.u, None), (ct.u[0], ct.v), ([], ct.v),
+                     ([ct.u[0], wide], ct.v), (ct.u, wide)]:
+            bad = KyberCiphertext(u=u, v=v)
+            assert bad.block is None and bad.params is None
+            assert bad.u is u and bad.v is v
+            assert bad != ct and repr(bad)
+        # the wrong rank is a well-formed block of the wrong shape
+        assert KyberCiphertext(u=ct.u[:1], v=ct.v).block.shape == (2, 256)
+
+    def test_decode_is_the_centered_threshold_at_every_residue(self):
+        """``v - s . u`` decodes to 1 exactly where its centered residue
+        exceeds ``q // 4`` in magnitude: with ``s = 0``, ``v`` walks every
+        residue of ``[0, q)``."""
+        pke = KyberPke(k=2, rng=_rng(150))
+        p = pke.params
+        zero = Polynomial.zero(p)
+        sk = KyberSecretKey(s=[zero, zero])
+        residues = np.arange(-(-p.q // p.n) * p.n) % p.q
+        cts = [KyberCiphertext(u=[zero, zero], v=Polynomial(row, p))
+               for row in residues.reshape(-1, p.n)]
+        bits = np.concatenate(pke.decrypt_many(sk, cts))
+        centered = np.where(residues > p.q // 2, residues - p.q, residues)
+        assert np.array_equal(bits, np.abs(centered) > p.q // 4)
 
 
 class TestBgv:

@@ -202,6 +202,34 @@ class TestDotMany:
         assert np.array_equal(engine.dot_many(hats(engine, one), ops),
                               engine.dot_many(hats(engine, one[0]), ops))
 
+    def test_key_matrix_is_taken_as_it_is(self, engine, rng):
+        """A key's ``dot_matrix`` in place of its hat gives the same sums,
+        broadcast over the terms and sliced alike, and a float left of
+        any other shape is refused like a bad hat."""
+        q, count, rows, k = engine.q, 4, 3, 2
+        key = hats(engine, block(q, (rows, k, N), rng))
+        ops = block(q, (count, k, N), rng, "wide")
+        matrix = engine.dot_matrix(key)
+        assert matrix.shape == (N, k, rows) and matrix.dtype == np.float64
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, key.transpose(2, 1, 0))
+        assert np.array_equal(engine.dot_matrix(key + np.uint64(q)), matrix)
+        assert np.array_equal(engine.dot_many(matrix, ops),
+                              engine.dot_many(key, ops))
+        one = engine.dot_matrix(key[:, :1])
+        assert np.array_equal(engine.dot_many(one, ops),
+                              engine.dot_many(key[:, :1], ops))
+        assert engine.dot_many(matrix, ops[:0]).shape == (0, rows, N)
+        for wrong in (matrix[None], matrix.transpose(2, 1, 0),
+                      matrix[:N // 2]):
+            with pytest.raises(ValueError, match="expected a"):
+                engine.dot_many(wrong, ops)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            engine.dot_many(engine.dot_matrix(
+                hats(engine, block(q, (rows, 3, N), rng))), ops)
+        with pytest.raises(ValueError, match="expected a"):
+            engine.dot_matrix(key[None])
+
     def test_count_past_the_slice_threshold(self, two_cores):
         eng = NttEngine.for_degree(256)
         rows, k = 3, 2
